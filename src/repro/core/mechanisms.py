@@ -194,9 +194,18 @@ class CreditLimitedBarter(Mechanism):
         return self._node_limits.get(dst, self.credit_limit)
 
     def allows(self, src: int, dst: int) -> bool:
+        # ``ledger.within_limit(src, dst, limit_for(dst))`` flattened to one
+        # lookup on the canonical pair: this gate sits on the randomized
+        # engine's hottest loop.
         if src == SERVER:
             return True
-        return self.ledger.within_limit(src, dst, self.limit_for(dst))
+        if src < dst:
+            net = self.ledger._net.get((src, dst), 0)
+        elif src > dst:
+            net = -self.ledger._net.get((dst, src), 0)
+        else:
+            raise ConfigError(f"a node cannot barter with itself (node {src})")
+        return net < self._node_limits.get(dst, self.credit_limit)
 
     def note_send(self, src: int, dst: int) -> None:
         """Engines call this when they commit an upload."""

@@ -35,7 +35,7 @@ class SwarmState:
 
     __slots__ = (
         "n", "k", "masks", "_snapshot", "freq", "_incomplete", "_full",
-        "mirror",
+        "mirror", "epoch",
     )
 
     def __init__(self, n: int, k: int) -> None:
@@ -57,6 +57,12 @@ class SwarmState:
         #: notified on every mutation so a packed ndarray view of the
         #: holdings stays in sync with the bigint masks.
         self.mirror = None
+        #: Bumped by every mutation that is not a plain receipt (seed,
+        #: retire, enroll, restore); nodes leave and rejoin the swarm
+        #: only through these. Between bumps masks only grow, so a cache
+        #: keyed on the epoch (the randomized engine's dead-end memo)
+        #: knows when it must forget what it proved.
+        self.epoch = 0
 
     # -- tick protocol -----------------------------------------------------
 
@@ -121,6 +127,7 @@ class SwarmState:
         """Pre-load ``node`` with a raw mask (failure-injection and tests)."""
         if blocks < 0 or blocks >> self.k:
             raise ConfigError(f"mask {blocks:#x} outside range(k={self.k})")
+        self.epoch += 1
         for b in range(self.k):
             if blocks >> b & 1 and not self.has(node, b):
                 self.receive(node, b)
@@ -133,6 +140,7 @@ class SwarmState:
         """
         if node == SERVER:
             raise ConfigError("the server cannot leave the swarm")
+        self.epoch += 1
         mask = self.masks[node]
         b = 0
         while mask:
@@ -156,6 +164,7 @@ class SwarmState:
         tick boundary. The array mirror, when any, is re-synced by its
         owner (``ArrayState.attach``) after this returns.
         """
+        self.epoch += 1
         self.masks[:] = [int(mask) for mask in masks]
         self._snapshot = list(self.masks)
         self._incomplete = set(incomplete)
@@ -172,5 +181,6 @@ class SwarmState:
         """Add a (previously absent) client with no blocks to the goal set."""
         if node == SERVER:
             raise ConfigError("the server is always present")
+        self.epoch += 1
         if self.masks[node] != self._full:
             self._incomplete.add(node)

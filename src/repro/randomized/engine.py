@@ -20,7 +20,9 @@ of rejection samples over the neighbor list (uniform conditioned on
 acceptance), then a full scan choosing uniformly among the eligible. On a
 complete graph the candidate pool is the set of still-incomplete nodes,
 maintained incrementally so big swarms (the paper's n = 10,000 run) stay
-fast.
+fast. On sparse overlays a source proven to have no eligible neighbor
+only replays its rejection draws until something could widen its choice
+(see :meth:`RandomizedTickPolicy._pick_destination`).
 
 Since the :mod:`repro.sim` refactor the mechanics live in
 :class:`~repro.sim.kernel.TickKernel`; this module contributes
@@ -54,6 +56,18 @@ from .policies import BlockPolicy, RandomPolicy
 __all__ = ["RandomizedEngine", "RandomizedTickPolicy", "default_max_ticks"]
 
 _REJECTION_TRIES = 12
+
+
+def _shuffle(items: list, getrandbits) -> None:
+    """``random.shuffle`` inlined: the same Fisher-Yates swaps with the
+    same ``_randbelow`` rejection draws, minus a method call per item."""
+    for i in range(len(items) - 1, 0, -1):
+        hi = i + 1
+        nbits = hi.bit_length()
+        r = getrandbits(nbits)
+        while r >= hi:
+            r = getrandbits(nbits)
+        items[i], items[r] = items[r], items[i]
 
 
 class RandomizedTickPolicy(TickPolicy):
@@ -90,6 +104,14 @@ class RandomizedTickPolicy(TickPolicy):
         self._dynamic = dynamic
         self._gated = not isinstance(mechanism, Cooperative)
         self._common = 0  # refreshed at every tick start
+        # Dead-end memo for sparse-overlay picks (see _pick_destination):
+        # _dead[v] is the tick v's fallback scan last proved empty,
+        # _targeted[v] the last tick any attempt went toward v. Both are
+        # forgotten when the swarm epoch or the overlay changes.
+        self._dead: list[int] = []
+        self._targeted: list[int] = []
+        self._memo_epoch = -1
+        self._memo_graph: Graph | None = None
 
     def bind(self, kernel: TickKernel) -> None:
         super().bind(kernel)
@@ -101,6 +123,14 @@ class RandomizedTickPolicy(TickPolicy):
 
     def run_tick(self, snapshot: list[int]) -> None:
         kernel = self.kernel
+        if (
+            kernel.state.epoch != self._memo_epoch
+            or kernel.graph is not self._memo_graph
+        ):
+            self._memo_epoch = kernel.state.epoch
+            self._memo_graph = kernel.graph
+            self._dead = [0] * kernel.n
+            self._targeted = [0] * kernel.n
         backend = kernel.array
         # An armed adversary routes every attempt through the kernel's
         # judged path (pollution/lie verdicts, strike bookkeeping), which
@@ -124,6 +154,8 @@ class RandomizedTickPolicy(TickPolicy):
         graph = kernel.graph
         dl_left = kernel.download_ledger
         complete_graph = isinstance(graph, CompleteGraph)
+        targeted = self._targeted
+        tick = kernel.tick
         # Per-tick receiver pool for complete graphs: incomplete nodes
         # with download capacity left. Shrinks as capacity is spent, so
         # late uploaders don't re-sample saturated receivers.
@@ -145,7 +177,7 @@ class RandomizedTickPolicy(TickPolicy):
         ]
         if kernel.server_available():
             uploaders.append(SERVER)
-        rng.shuffle(uploaders)
+        _shuffle(uploaders, rng.getrandbits)
 
         # Server reseeding (recovery): blocks crashes made server-only
         # again (global holder count 1) get priority in server picks.
@@ -197,6 +229,7 @@ class RandomizedTickPolicy(TickPolicy):
                 if reseed_rare and src == SERVER and useful & reseed_rare:
                     useful &= reseed_rare
                 block = choose(useful, kernel, src, dst)
+                targeted[dst] = tick
                 attempt(src, dst, block)
 
     def _run_tick_array(self, snapshot: list[int], backend) -> None:
@@ -244,15 +277,7 @@ class RandomizedTickPolicy(TickPolicy):
         ]
         if kernel.server_available():
             uploaders.append(SERVER)
-        # rng.shuffle inlined (identical Fisher-Yates draws, without the
-        # per-element _randbelow call overhead).
-        for i in range(len(uploaders) - 1, 0, -1):
-            hi = i + 1
-            nb = hi.bit_length()
-            r = getrandbits(nb)
-            while r >= hi:
-                r = getrandbits(nb)
-            uploaders[i], uploaders[r] = uploaders[r], uploaders[i]
+        _shuffle(uploaders, getrandbits)
 
         reseed_rare = 0
         if kernel.faults is not None and kernel.recovery.reseed:
@@ -587,28 +612,55 @@ class RandomizedTickPolicy(TickPolicy):
         Bounded rejection sampling over the candidate pool (uniform over
         the eligible subset, conditioned on acceptance), then a full scan
         choosing uniformly outright — the combination is exactly uniform.
-        The eligibility predicate is inlined twice for speed: this is the
-        hottest loop of the whole library. ``pool`` is the complete-graph
-        receiver pool (``None`` on sparse overlays).
+        ``randrange`` is inlined as CPython's ``getrandbits`` rejection
+        loop (the same stream). ``pool`` is the complete-graph receiver
+        pool (``None`` on sparse overlays).
+
+        Sparse overlays memoise dead ends. When the scan finds no
+        candidate even ignoring download capacity (which resets every
+        tick), ``src`` is recorded as dead. Until something can widen its
+        eligible set — an attempt toward ``src`` (its next snapshot and
+        the credit flush), a :attr:`SwarmState.epoch` bump (crash,
+        rejoin, arrival, departure, restore) or a new overlay — every
+        neighbor stays ineligible, so each rejection try must fail and
+        the scan must come up empty. The memo then replays just the
+        rejection draws and returns ``None``: same draws, same bounds,
+        same order, without evaluating a single predicate. The argument
+        assumes ``mechanism.allows(src, v)`` changes only when credit
+        flows between the pair, true of every mechanism in the library.
         """
         have = snapshot[src]
-        gated = self._gated
-        allows = self.mechanism.allows
-
         if pool is not None:
             # Nobody can be interested if every incomplete client already
             # held all of src's content at tick start.
             if have & ~self._common == 0:
                 return None
             candidates_pool = pool
+            dead = None
         else:
             candidates_pool = self.kernel.graph.neighbors(src)
+            dead = self._dead
         size = len(candidates_pool)
         if size == 0:
             return None
+        getrandbits = rng.getrandbits
+        nbits = size.bit_length()
+        tries = _REJECTION_TRIES if size > _REJECTION_TRIES else size
 
-        for _ in range(min(_REJECTION_TRIES, size)):
-            v = candidates_pool[rng.randrange(size)]
+        if dead is not None and self._targeted[src] < dead[src]:
+            for _ in range(tries):
+                r = getrandbits(nbits)
+                while r >= size:
+                    r = getrandbits(nbits)
+            return None
+
+        gated = self._gated
+        allows = self.mechanism.allows
+        for _ in range(tries):
+            r = getrandbits(nbits)
+            while r >= size:
+                r = getrandbits(nbits)
+            v = candidates_pool[r]
             if (
                 v != src
                 and (dl_left is None or dl_left[v] > 0)
@@ -617,18 +669,30 @@ class RandomizedTickPolicy(TickPolicy):
                 and (not gated or allows(src, v))
             ):
                 return v
+        # Capacity is left out of the scan so an empty result proves a
+        # dead end; it filters the survivors (same order) afterwards.
         candidates = [
             v
             for v in candidates_pool
             if v != src
-            and (dl_left is None or dl_left[v] > 0)
             and have & ~masks[v]
             and (not absent or v not in absent)
             and (not gated or allows(src, v))
         ]
         if not candidates:
+            if dead is not None:
+                dead[src] = self.kernel.tick
             return None
-        return candidates[rng.randrange(len(candidates))]
+        if dl_left is not None:
+            candidates = [v for v in candidates if dl_left[v] > 0]
+            if not candidates:
+                return None
+        size = len(candidates)
+        nbits = size.bit_length()
+        r = getrandbits(nbits)
+        while r >= size:
+            r = getrandbits(nbits)
+        return candidates[r]
 
     def zero_tick_conclusive(self) -> bool:
         """The destination search is exhaustive (bounded rejection

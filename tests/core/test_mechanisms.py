@@ -103,6 +103,20 @@ class TestCreditLimitedBarter:
         assert m.allows(2, 1)
         assert m.allows(0, 2)  # server exempt
 
+    def test_online_gate_matches_ledger(self):
+        # The gate reads the ledger's canonical pair directly; it must
+        # agree with the public within_limit for both directions and any
+        # balance, and refuse a self-pair like the ledger does.
+        m = CreditLimitedBarter(2)
+        for src, dst in [(1, 2), (2, 1), (1, 2), (3, 1), (1, 2), (2, 3)]:
+            m.note_send(src, dst)
+            for a in (1, 2, 3):
+                for b in (1, 2, 3):
+                    if a != b:
+                        assert m.allows(a, b) == m.ledger.within_limit(a, b, 2)
+        with pytest.raises(ConfigError, match="itself"):
+            m.allows(4, 4)
+
     def test_note_send_ignores_server(self):
         m = CreditLimitedBarter(1)
         m.note_send(0, 2)
