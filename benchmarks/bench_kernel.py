@@ -245,8 +245,8 @@ def _steady_window(backend: str | None) -> float:
     """Advance a fresh run WARMUP ticks untimed, then time TICKS more.
 
     ``keep_log=True`` (the ``run()`` default): experiments retain the
-    transfer log, and deferred bulk logging is part of what the array
-    backend buys. Returns the measured seconds (self-timed sample for
+    transfer log, so both backends pay for logging inside the window.
+    Returns the measured seconds (self-timed sample for
     :func:`interleaved_best_of`).
     """
     kwargs = {"backend": backend} if backend else {}

@@ -18,7 +18,7 @@ from typing import IO
 
 from .engine import Schedule
 from .errors import ConfigError
-from .log import RunResult, Transfer, TransferLog
+from .log import RunResult, TransferLog
 
 __all__ = [
     "schedule_to_dict",
@@ -91,43 +91,38 @@ def log_to_dict(log: TransferLog, n: int, k: int) -> dict:
         ),
         "n": n,
         "k": k,
-        "transfers": [[t.tick, t.src, t.dst, t.block] for t in log],
+        "transfers": log.rows("transfers"),
     }
     if log.failed_count:
-        doc["failures"] = [
-            [t.tick, t.src, t.dst, t.block] for t in log.failures
-        ]
+        doc["failures"] = log.rows("failures")
     if log.polluted_count:
-        doc["polluted"] = [
-            [t.tick, t.src, t.dst, t.block] for t in log.polluted
-        ]
+        doc["polluted"] = log.rows("polluted")
     if log.phantom_count:
-        doc["phantom"] = [
-            [t.tick, t.src, t.dst, t.block] for t in log.phantoms
-        ]
+        doc["phantom"] = log.rows("phantoms")
     return doc
 
 
 def log_from_dict(data: dict) -> tuple[TransferLog, int, int]:
-    """Rebuild ``(log, n, k)``; validates the envelope (v1, v2 or v3)."""
+    """Rebuild ``(log, n, k)``; validates the envelope (v1, v2 or v3).
+
+    Rows go straight into the log's int32 columns: an out-of-order row,
+    or a value outside the int32 range, raises
+    :class:`~repro.core.errors.ConfigError` naming the stream and row.
+    """
     if data.get("format") not in (_LOG_FORMAT, _LOG_FORMAT_V2, _LOG_FORMAT_V3):
         raise ConfigError(f"not a log document (format={data.get('format')!r})")
-    log = TransferLog(
-        (Transfer(int(t), int(s), int(d), int(b)) for t, s, d, b in data["transfers"]),
-        failures=(
-            Transfer(int(t), int(s), int(d), int(b))
-            for t, s, d, b in data.get("failures", ())
-        ),
-        polluted=(
-            Transfer(int(t), int(s), int(d), int(b))
-            for t, s, d, b in data.get("polluted", ())
-        ),
-        phantoms=(
-            Transfer(int(t), int(s), int(d), int(b))
-            for t, s, d, b in data.get("phantom", ())
-        ),
+    log = TransferLog()
+    log.extend_batch(
+        _int_rows(data["transfers"]),
+        _int_rows(data.get("failures", ())),
+        _int_rows(data.get("polluted", ())),
+        _int_rows(data.get("phantom", ())),
     )
     return log, int(data["n"]), int(data["k"])
+
+
+def _int_rows(rows) -> list[tuple[int, int, int, int]]:
+    return [(int(t), int(s), int(d), int(b)) for t, s, d, b in rows]
 
 
 def result_to_dict(result: RunResult) -> dict:

@@ -7,6 +7,12 @@ mechanism, checking every rule of the paper's data-transfer model
 code with the engines that *produced* the log, so a bug in an engine cannot
 hide itself.
 
+The replay reads the log's int32 columns directly: one slice of each
+stream per active tick (:meth:`~repro.core.log.TransferLog.runs`), plain
+dict tallies, and per-node capacities asked of the model once. No
+:class:`~repro.core.log.Transfer` record is built unless a violation is
+reported or the mechanism overrides ``check_tick``.
+
 Checked rules:
 
 * **causality** — a sender must have held the block at the *start* of the
@@ -46,12 +52,11 @@ the log carries no ordering).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .blocks import full_mask
 from .errors import ScheduleViolation
-from .log import Transfer, TransferLog
+from .log import STREAMS, Transfer, TransferLog
 from .mechanisms import Cooperative, Mechanism
 from .model import SERVER, BandwidthModel
 
@@ -167,82 +172,90 @@ def verify_log(
     peak_downloads = 0
     busy_ticks = 0
 
-    by_tick = log.by_tick()
-    fails_by_tick = log.failures_by_tick()
-    polluted_by_tick = log.polluted_by_tick()
-    phantoms_by_tick = log.phantoms_by_tick()
+    # Per-node capacities, asked of the model once.
+    up_cap = [model.upload_capacity(v) for v in range(n)]
+    down_cap = (
+        None
+        if model.unbounded_download
+        else [model.download_capacity(v) for v in range(n)]
+    )
+    # The base Mechanism.check_tick accepts any tick; only an override
+    # needs the tick's rows as Transfer records.
+    check_mechanism = type(mechanism).check_tick is not Mechanism.check_tick
+
+    # Every stream as (src, dst, block) int lists plus, per active tick,
+    # the (start, stop) slice holding that tick's rows.
+    streams = []
+    for name in STREAMS:
+        _, src, dst, block = log.columns(name)
+        spans = {tick: (a, b) for tick, a, b in log.runs(name)}
+        streams.append((src.tolist(), dst.tolist(), block.tolist(), spans))
     # Independent blacklist replay (strike_threshold): strikes accrued
     # from adversarial rows in tick order; a banned pair must never
     # appear again at a strictly later tick, in any stream.
-    strikes: Counter[tuple[int, int]] = Counter()
+    strikes: dict[tuple[int, int], int] = {}
     banned: dict[tuple[int, int], int] = {}
-    for tick in sorted(
-        by_tick.keys()
-        | fails_by_tick.keys()
-        | polluted_by_tick.keys()
-        | phantoms_by_tick.keys()
-    ):
+    for tick in sorted(set().union(*(spans for *_, spans in streams))):
         while next_event < len(events) and events[next_event][0] <= tick:
             _, kind, node, mask = events[next_event]
             masks[node] = mask if kind == 0 else 0
             next_event += 1
-        transfers = by_tick.get(tick, [])
-        failures = fails_by_tick.get(tick, [])
-        polluted = polluted_by_tick.get(tick, [])
-        phantoms = phantoms_by_tick.get(tick, [])
-        _check_tick(
+        rows = []
+        for src, dst, block, spans in streams:
+            a, b = spans.get(tick, (0, 0))
+            rows.append((src[a:b], dst[a:b], block[a:b]))
+        peak = _check_tick(
             tick,
-            transfers,
-            failures,
-            polluted,
-            phantoms,
+            rows,
             masks,
             n=n,
             k=k,
-            model=model,
+            up_cap=up_cap,
+            down_cap=down_cap,
             overlay=overlay,
             allow_redundant=allow_redundant,
         )
         if strike_threshold:
-            for t in (*transfers, *failures, *polluted, *phantoms):
-                ban_tick = banned.get((t.src, t.dst))
-                if ban_tick is not None and tick > ban_tick:
-                    raise ScheduleViolation(
-                        f"node {t.src} serves {t.dst} at tick {tick} "
-                        f"despite being blacklisted at tick {ban_tick}",
-                        tick=tick,
-                        rule="blacklist",
-                    )
-            for t in (*polluted, *phantoms):
-                pair = (t.src, t.dst)
-                strikes[pair] += 1
-                if strikes[pair] == strike_threshold and pair not in banned:
-                    banned[pair] = tick
+            for src, dst, _ in rows:
+                for pair in zip(src, dst):
+                    ban_tick = banned.get(pair)
+                    if ban_tick is not None and tick > ban_tick:
+                        raise ScheduleViolation(
+                            f"node {pair[0]} serves {pair[1]} at tick {tick} "
+                            f"despite being blacklisted at tick {ban_tick}",
+                            tick=tick,
+                            rule="blacklist",
+                        )
+            for src, dst, _ in rows[2:]:
+                for pair in zip(src, dst):
+                    strikes[pair] = count = strikes.get(pair, 0) + 1
+                    if count == strike_threshold and pair not in banned:
+                        banned[pair] = tick
         # A failed send consumed barter credit like any other — and so do
         # polluted and phantom ones: mechanisms judge the tick's
         # *attempts* (the exchange engine's paired swaps stay symmetric
         # even when one direction is lost or spoiled in transit).
-        mechanism.check_tick(
-            tick,
-            [
-                t
-                for t in (*transfers, *failures, *polluted, *phantoms)
-                if t.src != SERVER and t.dst != SERVER
-            ],
-        )
+        if check_mechanism:
+            mechanism.check_tick(
+                tick,
+                [
+                    Transfer(tick, s, d, b)
+                    for src, dst, block in rows
+                    for s, d, b in zip(src, dst, block)
+                    if s != SERVER and d != SERVER
+                ],
+            )
         # Apply receipts only after the whole tick is validated (synchrony);
         # failed, polluted and phantom attempts deliver nothing — polluted
         # blocks never count toward completion.
-        for t in transfers:
-            if masks[t.dst] >> t.block & 1:
+        src, dst, block = rows[0]
+        for d, b in zip(dst, block):
+            if masks[d] >> b & 1:
                 redundant += 1
-            masks[t.dst] |= 1 << t.block
-            if t.src == SERVER:
-                server_uploads += 1
-        downloads = Counter(t.dst for t in transfers)
-        downloads.update(t.dst for t in (*failures, *polluted, *phantoms))
-        if downloads:
-            peak_downloads = max(peak_downloads, max(downloads.values()))
+            else:
+                masks[d] |= 1 << b
+        server_uploads += src.count(SERVER)
+        peak_downloads = max(peak_downloads, peak)
         busy_ticks += 1
 
     # Events after the last active tick still count (a late fail-stop
@@ -273,9 +286,7 @@ def verify_log(
     # node's upload capacity per tick over the run (the paper's "fraction of
     # nodes that upload data in each step"; per-node capacities generalise
     # the uniform n - 1 + server_upload ceiling).
-    capacity = ticks * (
-        sum(model.upload_capacity(v) for v in range(1, n)) + model.server_upload
-    )
+    capacity = ticks * (sum(up_cap[1:]) + model.server_upload)
     efficiency = total / capacity if capacity else 0.0
 
     return VerificationReport(
@@ -319,23 +330,30 @@ def _retained_mask(retained) -> int:
     return int(retained)
 
 
+#: Per stream, in :data:`~repro.core.log.STREAMS` order: whether its rows
+#: are attempts that delivered nothing, and whether they are phantoms.
+_FAILED = (False, True, True, True)
+_PHANTOM = (False, False, False, True)
+
+
 def _check_tick(
     tick: int,
-    transfers: list[Transfer],
-    failures: list[Transfer],
-    polluted: list[Transfer],
-    phantoms: list[Transfer],
+    rows: list[tuple[list[int], list[int], list[int]]],
     masks: list[int],
     *,
     n: int,
     k: int,
-    model: BandwidthModel,
+    up_cap: list[int],
+    down_cap: list[int | None] | None,
     overlay,
     allow_redundant: bool,
-) -> None:
-    uploads: Counter[int] = Counter()
-    downloads: Counter[int] = Counter()
-    incoming_blocks: set[tuple[int, int]] = set()
+) -> int:
+    """Check one tick's rows (``(src, dst, block)`` slices of each stream);
+    returns the tick's peak per-node download count."""
+    uploads: dict[int, int] = {}
+    downloads: dict[int, int] = {}
+    incoming: set[int] = set()
+    has_edge = overlay.has_edge if overlay is not None else None
 
     # Failed attempts obey every static rule and consume capacity, but are
     # exempt from the duplicate-delivery check: a failed send followed by a
@@ -345,71 +363,66 @@ def _check_tick(
     # block and the receiver genuinely lacked it; the *content* was bad);
     # phantom rows are additionally exempt from causality and usefulness —
     # the advertisement itself was the lie, so no holding is implied.
-    for attempt_failed, phantom, t in (
-        [(False, False, t) for t in transfers]
-        + [(True, False, t) for t in failures]
-        + [(True, False, t) for t in polluted]
-        + [(True, True, t) for t in phantoms]
-    ):
-        if not (0 <= t.src < n and 0 <= t.dst < n):
-            raise ScheduleViolation(
-                f"transfer {t} references a node outside 0..{n - 1}",
-                tick=tick,
-                rule="node-range",
-            )
-        if t.src == t.dst:
-            raise ScheduleViolation(
-                f"node {t.src} transfers to itself", tick=tick, rule="self-transfer"
-            )
-        if not 0 <= t.block < k:
-            raise ScheduleViolation(
-                f"block {t.block} outside 0..{k - 1}", tick=tick, rule="block-range"
-            )
-        if overlay is not None and not overlay.has_edge(t.src, t.dst):
-            raise ScheduleViolation(
-                f"transfer {t.src} -> {t.dst} is not an overlay edge",
-                tick=tick,
-                rule="overlay",
-            )
-        if not phantom and not masks[t.src] >> t.block & 1:
-            raise ScheduleViolation(
-                f"node {t.src} sends block {t.block} it does not hold at "
-                f"tick start",
-                tick=tick,
-                rule="causality",
-            )
-        if (
-            not phantom
-            and masks[t.dst] >> t.block & 1
-            and not allow_redundant
-        ):
-            raise ScheduleViolation(
-                f"node {t.dst} already holds block {t.block} sent by {t.src}",
-                tick=tick,
-                rule="usefulness",
-            )
-        if not attempt_failed:
-            if (t.dst, t.block) in incoming_blocks and not allow_redundant:
+    for (srcs, dsts, blocks), failed, phantom in zip(rows, _FAILED, _PHANTOM):
+        for s, d, b in zip(srcs, dsts, blocks):
+            if not (0 <= s < n and 0 <= d < n):
                 raise ScheduleViolation(
-                    f"node {t.dst} receives block {t.block} twice in one tick",
+                    f"transfer {Transfer(tick, s, d, b)} references a node "
+                    f"outside 0..{n - 1}",
                     tick=tick,
-                    rule="usefulness",
+                    rule="node-range",
                 )
-            incoming_blocks.add((t.dst, t.block))
-        uploads[t.src] += 1
-        downloads[t.dst] += 1
+            if s == d:
+                raise ScheduleViolation(
+                    f"node {s} transfers to itself", tick=tick, rule="self-transfer"
+                )
+            if not 0 <= b < k:
+                raise ScheduleViolation(
+                    f"block {b} outside 0..{k - 1}", tick=tick, rule="block-range"
+                )
+            if has_edge is not None and not has_edge(s, d):
+                raise ScheduleViolation(
+                    f"transfer {s} -> {d} is not an overlay edge",
+                    tick=tick,
+                    rule="overlay",
+                )
+            if not phantom:
+                if not masks[s] >> b & 1:
+                    raise ScheduleViolation(
+                        f"node {s} sends block {b} it does not hold at "
+                        f"tick start",
+                        tick=tick,
+                        rule="causality",
+                    )
+                if masks[d] >> b & 1 and not allow_redundant:
+                    raise ScheduleViolation(
+                        f"node {d} already holds block {b} sent by {s}",
+                        tick=tick,
+                        rule="usefulness",
+                    )
+            if not failed:
+                key = d * k + b
+                if key in incoming and not allow_redundant:
+                    raise ScheduleViolation(
+                        f"node {d} receives block {b} twice in one tick",
+                        tick=tick,
+                        rule="usefulness",
+                    )
+                incoming.add(key)
+            uploads[s] = uploads.get(s, 0) + 1
+            downloads[d] = downloads.get(d, 0) + 1
 
     for node, count in uploads.items():
-        cap = model.upload_capacity(node)
+        cap = up_cap[node]
         if count > cap:
             raise ScheduleViolation(
                 f"node {node} uploads {count} blocks in one tick (capacity {cap})",
                 tick=tick,
                 rule="upload-capacity",
             )
-    if not model.unbounded_download:
+    if down_cap is not None:
         for node, count in downloads.items():
-            cap = model.download_capacity(node)
+            cap = down_cap[node]
             if cap is not None and count > cap:
                 raise ScheduleViolation(
                     f"node {node} downloads {count} blocks in one tick "
@@ -417,3 +430,4 @@ def _check_tick(
                     tick=tick,
                     rule="download-capacity",
                 )
+    return max(downloads.values())

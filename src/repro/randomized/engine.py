@@ -33,6 +33,7 @@ Since the :mod:`repro.sim` refactor the mechanics live in
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -143,9 +144,9 @@ class RandomizedTickPolicy(TickPolicy):
             and isinstance(kernel.graph, CompleteGraph)
         ):
             # Complete-graph ticks vectorize on the array backend; sparse
-            # overlays fall through to the scalar path below (which still
-            # benefits from the backend's deferred logging via
-            # ``kernel.attempt``). Both make the same RNG draws.
+            # overlays fall through to the scalar path below (which keeps
+            # the backend's word mirror via ``kernel.attempt``). Both make
+            # the same RNG draws.
             self._run_tick_array(snapshot, backend)
             return
         state = kernel.state
@@ -244,7 +245,8 @@ class RandomizedTickPolicy(TickPolicy):
         draws. Only the *deterministic* work between draws is vectorized:
         uploader/interest discovery over the packed snapshot words, the
         fallback eligibility scan in one masked expression instead of a
-        listcomp, deliveries applied inline with deferred bulk logging.
+        listcomp, deliveries applied inline and logged with one
+        ``extend_batch`` per tick on the fast lane.
         Receiver-pool layout feeds the uniform draws, so the array pool's
         activation order and swap-removals mirror the scalar pool's.
         """
@@ -340,7 +342,7 @@ class RandomizedTickPolicy(TickPolicy):
         )
         if fast and can is not None:
             random_block = type(self.block_policy) is RandomPolicy
-            log_buf = backend._deliveries if rec_d is not None else None
+            s_buf = array("i")
             d_buf: list[int] = []
             b_buf: list[int] = []
             pos = backend.pos
@@ -466,10 +468,9 @@ class RandomizedTickPolicy(TickPolicy):
 
                     m_new = masks[dst] | (1 << block)
                     masks[dst] = m_new
+                    s_buf.append(src)
                     d_buf.append(dst)
                     b_buf.append(block)
-                    if log_buf is not None:
-                        log_buf.append((tick, src, dst, block))
                     if m_new == full:
                         incomplete.discard(dst)
                         kernel_pool_remove(dst)
@@ -495,6 +496,11 @@ class RandomizedTickPolicy(TickPolicy):
                 # the (row, word) index pairs are unique and a fancy |=
                 # is safe (no lost updates).
                 words[arr_d, arr_b >> 6] |= wbit[arr_b & 63]
+                if rec_d is not None:
+                    srcs = np.frombuffer(s_buf, dtype=np.int32)
+                    kernel.log.extend_batch(
+                        np.column_stack((np.full_like(srcs, tick), srcs, arr_d, arr_b))
+                    )
             kernel._tick_delivered += delivered
             return
 

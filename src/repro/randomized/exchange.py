@@ -60,7 +60,7 @@ class ExchangeTickPolicy(TickPolicy):
     # Matching decisions feed back on live masks (a delivered swap
     # changes later partners' mutual interest), so exchange keeps the
     # per-attempt path on the array backend and gains its mirrored
-    # ownership words and deferred bulk logging.
+    # ownership words.
     supports_array = True
     membership_support = True
     adversary_support = "full"

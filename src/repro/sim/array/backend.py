@@ -1,17 +1,11 @@
 """The array execution backend for :class:`~repro.sim.kernel.TickKernel`.
 
 Construction with ``backend="array"`` hangs one :class:`ArrayBackend` off
-the kernel. It owns three things:
+the kernel. It owns two things:
 
 * the :class:`~repro.sim.array.state.ArrayState` ownership mirror (kept
   bit-exact with ``SwarmState`` through the mirror hook, snapshotted each
   tick alongside the kernel's bigint snapshot);
-* **deferred logging** — per-attempt log records are buffered as raw
-  ``(tick, src, dst, block)`` tuples and materialised into the kernel's
-  :class:`~repro.core.log.TransferLog` in one bulk
-  :meth:`~repro.core.log.TransferLog.extend_batch` call (once per run, or
-  whenever :meth:`sync_log` is invoked), replacing the per-attempt
-  namedtuple construction and tick-order validation on the hot path;
 * the **array receiver pool** — the per-tick eligible-receiver set as a
   live ``int64`` array with O(1) swap-removal, so the uniform-sampling
   fallback scan can slice it and test interest for every candidate in one
@@ -31,6 +25,13 @@ family's sampling reads live masks and capacity) instead drive the same
 delivery/charge/log machinery attempt-by-attempt from their vectorized
 tick loop; ``submit`` serves feedback-free batches, where the tick's
 attempts are known up front.
+
+Logging is eager, as on the loop backend: per-attempt paths call the
+kernel's ``TransferLog.record*`` writers, and batched paths (``submit``,
+the randomized complete-graph lane) append each tick's rows with one
+:meth:`~repro.core.log.TransferLog.extend_batch` call straight into the
+log's int32 columns. Nothing is buffered, so ``kernel.log`` is always
+current.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class ArrayBackend:
     """Array-side twin of one :class:`~repro.sim.kernel.TickKernel` run."""
 
     __slots__ = (
-        "kernel", "state", "n", "_deliveries", "_failures",
+        "kernel", "state", "n",
         "pool", "pos", "size", "pool_active",
     )
 
@@ -65,8 +66,6 @@ class ArrayBackend:
             state = ArrayState(n, kernel.k)
         self.state = state
         state.attach(kernel.state)
-        self._deliveries: list[tuple[int, int, int, int]] = []
-        self._failures: list[tuple[int, int, int, int]] = []
         #: Live per-tick receiver pool (valid slice: ``pool[:size]``).
         self.pool = np.zeros(n, dtype=np.int64)
         self.pos: list[int] = [-1] * n
@@ -80,28 +79,6 @@ class ArrayBackend:
         bigint snapshot so both views describe the same instant."""
         self.state.begin_tick()
         self.pool_active = False
-
-    # -- deferred logging ----------------------------------------------------
-
-    def push_delivery(self, tick: int, src: int, dst: int, block: int) -> None:
-        """Buffer one delivered transfer (record-compatible signature)."""
-        self._deliveries.append((tick, src, dst, block))
-
-    def push_failure(self, tick: int, src: int, dst: int, block: int) -> None:
-        """Buffer one failed attempt (record-compatible signature)."""
-        self._failures.append((tick, src, dst, block))
-
-    def sync_log(self) -> None:
-        """Materialise buffered records into the kernel's log.
-
-        Idempotent and incremental: the kernel calls it before assembling
-        the run result; manual steppers reading ``kernel.log`` mid-run
-        call :meth:`TickKernel.sync_log` themselves.
-        """
-        if self._deliveries or self._failures:
-            self.kernel.log.extend_batch(self._deliveries, self._failures)
-            self._deliveries.clear()
-            self._failures.clear()
 
     # -- array receiver pool -------------------------------------------------
 
@@ -184,7 +161,6 @@ class ArrayBackend:
         tick = kernel.tick
         src_list = srcs.tolist()
         dst_list = dsts.tolist()
-        blk_list = blocks.tolist()
 
         judge = kernel._judge
         if judge is None:
@@ -242,17 +218,8 @@ class ArrayBackend:
             kernel._credit_sends.extend(zip(src_list, dst_list))
 
         if kernel.keep_log:
-            if failed.any():
-                dbuf = self._deliveries
-                fbuf = self._failures
-                flags = failed.tolist()
-                for i in range(m):
-                    row = (tick, src_list[i], dst_list[i], blk_list[i])
-                    (fbuf if flags[i] else dbuf).append(row)
-            else:
-                self._deliveries.extend(
-                    zip([tick] * m, src_list, dst_list, blk_list)
-                )
+            rows = np.column_stack((np.full(m, tick), srcs, dsts, blocks))
+            kernel.log.extend_batch(rows[ok], rows[failed])
 
         n_failed = int(failed.sum())
         kernel._tick_failed += n_failed

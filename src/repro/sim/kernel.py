@@ -107,8 +107,8 @@ class TickKernel:
     backend:
         ``"loop"``/``None`` (default) for the scalar per-attempt path, or
         ``"array"`` for the :mod:`repro.sim.array` backend — ownership
-        mirrored into packed ndarrays, deferred bulk logging, vectorized
-        tick scans for array-capable policies — with the decision RNG
+        mirrored into packed ndarrays, vectorized tick scans for
+        array-capable policies — with the decision RNG
         untouched, so both backends produce byte-identical runs. An
         :class:`~repro.sim.array.ArrayState` instance (e.g. a BatchRunner
         replica view) is accepted in place of the string. Raises
@@ -285,8 +285,8 @@ class TickKernel:
 
         # Execution backend. ``"loop"`` (default) is the scalar
         # per-attempt path; ``"array"`` mirrors ownership into packed
-        # ndarrays, defers log materialisation and lets array-capable
-        # policies vectorize their tick scans — with the decision RNG
+        # ndarrays and lets array-capable policies vectorize their tick
+        # scans — with the decision RNG
         # untouched, so both backends produce byte-identical runs. A
         # preconstructed :class:`~repro.sim.array.ArrayState` (e.g. a
         # BatchRunner replica view) is accepted in place of the string.
@@ -311,15 +311,10 @@ class TickKernel:
                     f"backend='loop' or pick an array-capable engine"
                 )
             self.array = ArrayBackend(self, arr_state)
-        if not keep_log:
-            self._log_delivery: Callable | None = None
-            self._log_failure: Callable | None = None
-        elif self.array is not None:
-            self._log_delivery = self.array.push_delivery
-            self._log_failure = self.array.push_failure
-        else:
-            self._log_delivery = self.log.record
-            self._log_failure = self.log.record_failure
+        self._log_delivery: Callable | None = None
+        self._log_failure: Callable | None = None
+        if keep_log:
+            self._bind_log()
         policy.bind(self)
 
         # Open-system workload. Mirrors the fault-plan contract: a null
@@ -557,10 +552,7 @@ class TickKernel:
                 # Polluted/phantom deliveries are charged exactly like
                 # failures — the bandwidth and credit are spent before
                 # the receiver's integrity check rejects the block — but
-                # land in their own log streams (recorded eagerly even
-                # under the array backend: the streams carry independent
-                # tick-order invariants, so eager and deferred rows never
-                # interleave).
+                # land in their own log streams.
                 dl = self._dl_left
                 if dl is not None:
                     left = dl[dst] = dl[dst] - 1
@@ -608,15 +600,18 @@ class TickKernel:
         inj = self.faults
         return inj is None or not inj.server_down(self.tick)
 
-    def sync_log(self) -> None:
-        """Materialise any deferred (array-backend) log records.
+    def _bind_log(self) -> None:
+        self._log_delivery = self.log.record
+        self._log_failure = self.log.record_failure
 
-        The loop backend records eagerly, so this is a no-op there. The
-        run loop calls it before assembling the result; manual steppers
-        reading ``kernel.log`` mid-run should call it themselves.
+    def sync_log(self) -> None:
+        """Bring ``kernel.log`` up to date; a no-op.
+
+        Both backends log every attempt as it happens, so the log is
+        always current. The run loop calls this once before it assembles
+        the result (perfbench's tracer times it by name), and manual
+        steppers may call it freely.
         """
-        if self.array is not None:
-            self.array.sync_log()
 
     # -- fault events ------------------------------------------------------
 
@@ -762,7 +757,6 @@ class TickKernel:
                 "finish (or use arm_checkpoints, which writes between "
                 "ticks)"
             )
-        self.sync_log()
         state = self.state
         payload: dict[str, object] = {
             "config": self._config_fingerprint(),
@@ -780,17 +774,14 @@ class TickKernel:
         if self.credit is not None:
             payload["credit"] = self.credit.ledger.capture_state()
         if self.keep_log:
+            log = self.log
             payload["log"] = {
-                "transfers": [list(t) for t in self.log],
-                "failures": [list(t) for t in self.log.failures],
+                "transfers": log.rows("transfers"),
+                "failures": log.rows("failures"),
             }
             if self.adversary is not None:
-                payload["log"]["polluted"] = [  # type: ignore[index]
-                    list(t) for t in self.log.polluted
-                ]
-                payload["log"]["phantoms"] = [  # type: ignore[index]
-                    list(t) for t in self.log.phantoms
-                ]
+                payload["log"]["polluted"] = log.rows("polluted")  # type: ignore[index]
+                payload["log"]["phantoms"] = log.rows("phantoms")  # type: ignore[index]
         if self.faults is not None:
             payload["faults"] = self.faults.capture_state()
         if self._membership is not None:
@@ -841,22 +832,14 @@ class TickKernel:
             self.credit.ledger.restore_state(document["credit"])
         if self.keep_log:
             log_doc = document["log"]
-            log = TransferLog()
-            log.extend_batch(
-                [tuple(row) for row in log_doc["transfers"]],
-                [tuple(row) for row in log_doc["failures"]],
-                [tuple(row) for row in log_doc.get("polluted", ())],
-                [tuple(row) for row in log_doc.get("phantoms", ())],
+            self.log = TransferLog()
+            self.log.extend_batch(
+                log_doc["transfers"],
+                log_doc["failures"],
+                log_doc.get("polluted", ()),
+                log_doc.get("phantoms", ()),
             )
-            self.log = log
-            if self.array is not None:
-                # Deferred buffers restart empty; sync_log targets
-                # kernel.log dynamically, so no rebinding is needed.
-                self.array._deliveries.clear()
-                self.array._failures.clear()
-            else:
-                self._log_delivery = log.record
-                self._log_failure = log.record_failure
+            self._bind_log()
         if self.array is not None:
             # Rebuild the packed word mirror from the restored masks and
             # re-register it on the swarm state.

@@ -72,29 +72,31 @@ def digest_run(
     for v in range(1, n):
         tier_pop[tiers[v]] += 1
 
-    # One pass over the delivery stream: inter-arrival gaps per receiver,
-    # per-tier delivery counts per window, server upload counts. Gaps
-    # are tallied in plain dicts first — distinct gap values are few, so
-    # bulk-adding them afterwards keeps the pass allocation-light even
-    # on million-transfer logs (the bench_telemetry overhead gate).
+    # One pass over the delivery stream, a tick's column slice at a
+    # time: inter-arrival gaps per receiver, per-tier delivery counts
+    # per window, server upload counts. Gaps are tallied in plain dicts
+    # first — distinct gap values are few, so bulk-adding them
+    # afterwards keeps the pass allocation-light even on
+    # million-transfer logs (the bench_telemetry overhead gate).
     last_arrival = [0] * n
     gap_counts = {t: {} for t in tier_names}  # tier -> gap -> samples
     thru_counts = {t: {} for t in tier_names}  # tier -> window -> blocks
     util_counts: dict[int, int] = {}
     width = spec.window
-    for tr in log:
-        dst = tr.dst
-        tick = tr.tick
-        tier = tiers[dst]
-        gaps = gap_counts[tier]
-        g = tick - last_arrival[dst]
-        gaps[g] = gaps.get(g, 0) + 1
-        last_arrival[dst] = tick
+    _, srcs, dsts, _ = log.columns()
+    for tick, start, stop in log.runs():
         w = (tick - 1) // width
-        counts = thru_counts[tier]
-        counts[w] = counts.get(w, 0) + 1
-        if tr.src == SERVER:
-            util_counts[w] = util_counts.get(w, 0) + 1
+        for dst in dsts[start:stop]:
+            tier = tiers[dst]
+            gaps = gap_counts[tier]
+            g = tick - last_arrival[dst]
+            gaps[g] = gaps.get(g, 0) + 1
+            last_arrival[dst] = tick
+            counts = thru_counts[tier]
+            counts[w] = counts.get(w, 0) + 1
+        served = srcs[start:stop].count(SERVER)
+        if served:
+            util_counts[w] = util_counts.get(w, 0) + served
 
     wait = {}
     for t in tier_names:

@@ -152,6 +152,24 @@ class TestEnvelope:
         assert load_checkpoint(path)["tick"] == 3
 
 
+class TestRestoreBoundary:
+    @pytest.mark.parametrize("stream", ["transfers", "failures"])
+    def test_log_values_outside_int32_are_config_errors(self, stream) -> None:
+        # A checkpoint document is external JSON: a log row that does not
+        # fit the int32 columns must fail naming its stream and row.
+        engine = RandomizedEngine(8, 4, rng=1)
+        for _ in range(3):
+            engine.kernel.step()
+        document = json.loads(json.dumps(engine.kernel.checkpoint()))
+        rows = document["log"][stream]
+        rows.append([3, 0, 2**31, 0])
+        fresh = RandomizedEngine(8, 4, rng=1).kernel
+        with pytest.raises(
+            ConfigError, match=rf"{stream} row {len(rows) - 1} \[3, 0, 2147483648, 0\]"
+        ):
+            fresh.restore_checkpoint(document)
+
+
 class TestTickBoundaryOnly:
     def test_checkpoint_refused_mid_tick(self) -> None:
         engine = RandomizedEngine(8, 4, rng=1)

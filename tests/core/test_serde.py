@@ -100,6 +100,27 @@ class TestLogAndResult:
         with pytest.raises(ConfigError):
             log_from_dict({"format": "nope", "transfers": []})
 
+    @pytest.mark.parametrize(
+        "key, stream",
+        [("transfers", "transfers"), ("failures", "failures"),
+         ("polluted", "polluted"), ("phantom", "phantoms")],
+    )
+    @pytest.mark.parametrize("value", [2**31, -(2**31) - 1, 10**30])
+    def test_log_rejects_values_outside_int32(self, key, stream, value):
+        # External JSON can carry any integer; one that does not fit the
+        # int32 columns is a ConfigError naming the stream and the row,
+        # never a bare OverflowError.
+        doc = {"format": "repro/log/v3", "n": 4, "k": 2, "transfers": []}
+        doc[key] = [[1, 0, 1, 0], [2, 1, value, 1]]
+        with pytest.raises(ConfigError, match=rf"{stream} row 1 \[2, 1, {value}, 1\]"):
+            log_from_dict(doc)
+
+    def test_log_keeps_tick_order_messages(self):
+        doc = {"format": "repro/log/v2", "n": 4, "k": 2, "transfers": [],
+               "failures": [[3, 0, 1, 0], [2, 0, 2, 0]]}
+        with pytest.raises(ConfigError, match=r"failures must be appended in tick order \(2 after 3\)"):
+            log_from_dict(doc)
+
     def test_result_to_dict_jsonable(self):
         result = execute_schedule(hypercube_schedule(8, 4))
         blob = json.dumps(result_to_dict(result))

@@ -130,7 +130,6 @@ def test_submit_matches_sequential_attempts(case):
     for _ in script:
         seq.step()
         bat.step()
-    bat.sync_log()
 
     assert bat_policy.outcomes == seq_policy.outcomes
     assert bat.state.masks == seq.state.masks
@@ -145,8 +144,8 @@ def test_submit_matches_sequential_attempts(case):
     if credit_on:
         assert bat.credit.ledger._net == seq.credit.ledger._net
     if keep_log:
-        assert bat.log._transfers == seq.log._transfers
-        assert bat.log._failures == seq.log._failures
+        assert list(bat.log) == list(seq.log)
+        assert bat.log.failures == seq.log.failures
     else:
         assert len(bat.log) == len(seq.log) == 0
     # The word mirror stays bit-exact with the authoritative bigints.
@@ -262,8 +261,8 @@ def test_set_default_backend_validates_and_returns_previous():
 @pytest.mark.parametrize("keep_log", [True, False])
 def test_randomized_run_parity_loop_vs_array(keep_log):
     """A full randomized run is byte-identical across backends with the
-    transfer log on (eager vs deferred logging) and off (the fast lane's
-    no-log path)."""
+    transfer log on (per-attempt records vs the fast lane's per-tick
+    batches) and off (the fast lane's no-log path)."""
     loop = RandomizedEngine(48, 32, rng=9, keep_log=keep_log)
     arr = RandomizedEngine(48, 32, rng=9, keep_log=keep_log, backend="array")
     r_loop = loop.run()
@@ -273,5 +272,5 @@ def test_randomized_run_parity_loop_vs_array(keep_log):
     assert arr.kernel.uploads_per_tick == loop.kernel.uploads_per_tick
     assert arr.kernel.rng.random() == loop.kernel.rng.random()
     if keep_log:
-        assert r_arr.log._transfers == r_loop.log._transfers
-        assert r_arr.log._failures == r_loop.log._failures
+        assert list(r_arr.log) == list(r_loop.log)
+        assert r_arr.log.failures == r_loop.log.failures
