@@ -160,6 +160,11 @@ class AdversaryDriver:
             return True
         return False
 
+    def blacklisted(self, src: int, dst: int) -> bool:
+        """Whether ``dst`` has blacklisted ``src``, without counting a
+        refusal (for engines that plan around bans before attempting)."""
+        return (src, dst) in self._banned
+
     def judge(self, tick: int, src: int, dst: int) -> str | None:
         """Judge one committed attempt; a non-``None`` verdict means the
         attempt consumed its capacity (and credit) but delivered nothing

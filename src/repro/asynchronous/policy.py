@@ -28,6 +28,13 @@ A node crash aborts its in-flight transfers — both endpoints' links
 free immediately, nothing is logged for the aborted flight
 (``aborted_in_flight`` counts them in run metadata) — and a rejoining
 node re-enters with whatever block mask it retained.
+
+Blocks in flight toward each node are kept as one bitmask per node
+(:attr:`AsyncTickPolicy.inbound`), set when a transfer starts and
+cleared when it ends or is aborted, so the useful blocks for a pair are
+one mask expression and the randomized strategies' destination scan
+reads the live busy counts and masks directly. Checkpoints list the
+masks as sorted ``[dst, block]`` pairs.
 """
 
 from __future__ import annotations
@@ -74,7 +81,9 @@ class AsyncTickPolicy(TickPolicy):
     the exact query surface of the retired standalone loop (``now``,
     ``up``, ``rng``, ``k``, ``transfers``, ``downlink_free``,
     ``useful_mask``, ``has_block``, ``incoming``, ``incomplete_nodes``),
-    so :mod:`repro.asynchronous.strategies` runs unmodified.
+    plus the live arrays behind them (``masks``, ``inbound``,
+    ``downlink_busy``, ``parallel_downloads``) for scans that inline
+    those queries.
     """
 
     name = "async"
@@ -121,8 +130,8 @@ class AsyncTickPolicy(TickPolicy):
         self._full = (1 << kernel.k) - 1
         self._downlink_busy = [0] * n
         self._uplink_busy = [False] * n
-        # Blocks currently in flight toward each node (no duplicates).
-        self._inbound: set[tuple[int, int]] = set()
+        # Per node, the mask of blocks currently in flight toward it.
+        self._inbound = [0] * n
         self._events: list[tuple[float, int, AsyncTransfer]] = []
         self._event_seq = 0
         self._idle: set[int] = set()
@@ -145,6 +154,17 @@ class AsyncTickPolicy(TickPolicy):
         """Whether ``node`` holds (fully received) ``block``."""
         return bool(self.kernel.state.masks[node] >> block & 1)
 
+    @property
+    def downlink_busy(self) -> list[int]:
+        """Per node, transfers in flight toward it (live; do not mutate)."""
+        return self._downlink_busy
+
+    @property
+    def inbound(self) -> list[int]:
+        """Per node, the mask of blocks in flight toward it (live; do
+        not mutate)."""
+        return self._inbound
+
     def downlink_free(self, node: int) -> bool:
         """Whether ``node`` can accept one more incoming transfer now."""
         return (
@@ -154,17 +174,12 @@ class AsyncTickPolicy(TickPolicy):
 
     def incoming(self, node: int, block: int) -> bool:
         """Whether ``block`` is already in flight toward ``node``."""
-        return (node, block) in self._inbound
+        return bool(self._inbound[node] >> block & 1)
 
     def useful_mask(self, src: int, dst: int) -> int:
         """Blocks ``src`` holds that ``dst`` neither holds nor is receiving."""
         masks = self.kernel.state.masks
-        mask = masks[src] & ~masks[dst]
-        if mask:
-            for block in list(_iter_bits(mask)):
-                if (dst, block) in self._inbound:
-                    mask &= ~(1 << block)
-        return mask
+        return masks[src] & ~(masks[dst] | self._inbound[dst])
 
     @property
     def incomplete_nodes(self):
@@ -201,7 +216,7 @@ class AsyncTickPolicy(TickPolicy):
         transfer = AsyncTransfer(self.now, self.now + duration, src, dst, block)
         self._uplink_busy[src] = True
         self._downlink_busy[dst] += 1
-        self._inbound.add((dst, block))
+        self._inbound[dst] |= 1 << block
         self._event_seq += 1
         heapq.heappush(self._events, (transfer.end, self._event_seq, transfer))
         return True
@@ -238,7 +253,7 @@ class AsyncTickPolicy(TickPolicy):
         src, dst, block = transfer.src, transfer.dst, transfer.block
         self._uplink_busy[src] = False
         self._downlink_busy[dst] -= 1
-        self._inbound.discard((dst, block))
+        self._inbound[dst] &= ~(1 << block)
         if self.kernel.attempt(src, dst, block):
             self.transfers.append(transfer)
             if dst != SERVER and self.kernel.state.masks[dst] == self._full:
@@ -330,7 +345,12 @@ class AsyncTickPolicy(TickPolicy):
             "aborted_in_flight": self.aborted_in_flight,
             "downlink_busy": list(self._downlink_busy),
             "uplink_busy": list(self._uplink_busy),
-            "inbound": sorted([d, b] for d, b in self._inbound),
+            "inbound": [
+                [dst, block]
+                for dst, mask in enumerate(self._inbound)
+                for block in range(mask.bit_length())
+                if mask >> block & 1
+            ],
             "events": [
                 [end, seq, list(transfer)]
                 for end, seq, transfer in self._events
@@ -356,7 +376,9 @@ class AsyncTickPolicy(TickPolicy):
         self.aborted_in_flight = state["aborted_in_flight"]
         self._downlink_busy = [int(v) for v in state["downlink_busy"]]
         self._uplink_busy = [bool(v) for v in state["uplink_busy"]]
-        self._inbound = {(int(d), int(b)) for d, b in state["inbound"]}
+        self._inbound = [0] * self.kernel.n
+        for dst, block in state["inbound"]:
+            self._inbound[int(dst)] |= 1 << int(block)
         # Verbatim — already a valid heap; re-heapifying could reorder
         # equal-priority entries (none exist today, but the invariant is
         # cheap to keep exact).
@@ -392,7 +414,7 @@ class AsyncTickPolicy(TickPolicy):
             self.aborted_in_flight += 1
             if t.src == node:
                 self._downlink_busy[t.dst] -= 1
-                self._inbound.discard((t.dst, t.block))
+                self._inbound[t.dst] &= ~(1 << t.block)
                 self._idle.add(t.dst)
             else:
                 self._uplink_busy[t.src] = False
@@ -402,7 +424,7 @@ class AsyncTickPolicy(TickPolicy):
             self._events = kept
         self._uplink_busy[node] = False
         self._downlink_busy[node] = 0
-        self._inbound = {(d, b) for d, b in self._inbound if d != node}
+        self._inbound[node] = 0
         self._idle.discard(node)
         self.float_completions.pop(node, None)
 
@@ -442,9 +464,3 @@ class AsyncTickPolicy(TickPolicy):
             "aborted_in_flight": self.aborted_in_flight,
         }
 
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

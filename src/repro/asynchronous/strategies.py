@@ -114,24 +114,30 @@ class _AsyncRandomBase:
     def __init__(self, overlay: Graph | None = None) -> None:
         self.overlay = overlay
 
-    def _neighbors(self, engine, src: int):
+    def _pick(self, engine, src: int) -> tuple[int, int] | None:
+        # ``downlink_free`` and ``useful_mask`` inlined over the engine's
+        # live arrays: this scan runs once per start attempt.
         if self.overlay is None or isinstance(self.overlay, CompleteGraph):
             # Incomplete clients are the only possible receivers.
-            return [v for v in engine.incomplete_nodes if v != src]
-        return [v for v in self.overlay.neighbors(src) if v != src]
-
-    def _pick(self, engine, src: int) -> tuple[int, int] | None:
-        rng = engine.rng
+            pool = engine.incomplete_nodes
+        else:
+            pool = self.overlay.neighbors(src)
+        masks = engine.masks
+        inbound = engine.inbound
+        busy = engine.downlink_busy
+        slots = engine.parallel_downloads
+        absent = engine.kernel.absent
+        have = masks[src]
         candidates = []
-        for dst in self._neighbors(engine, src):
-            if dst == SERVER or not engine.downlink_free(dst):
+        for dst in pool:
+            if dst == src or dst == SERVER or busy[dst] >= slots or dst in absent:
                 continue
-            useful = engine.useful_mask(src, dst)
+            useful = have & ~(masks[dst] | inbound[dst])
             if useful:
                 candidates.append((dst, useful))
         if not candidates:
             return None
-        dst, useful = candidates[rng.randrange(len(candidates))]
+        dst, useful = candidates[engine.rng.randrange(len(candidates))]
         return dst, self._block(engine, useful)
 
     def _block(self, engine, useful: int) -> int:

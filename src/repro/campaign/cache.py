@@ -64,7 +64,7 @@ __all__ = [
 
 # Bump whenever simulation semantics change in a way that invalidates old
 # results (new engine behavior, changed RunResult fields, ...).
-CODE_VERSION = "2"
+CODE_VERSION = "3"
 
 
 def default_salt() -> str:

@@ -31,6 +31,17 @@ a crash is *rows of the GF(2) basis*, not block bits: each basis row
 survives independently with probability ``rejoin_retention``, and the
 rejoining node's basis is rebuilt (rank recomputed) from the surviving
 rows — a strict subspace of what it held at crash time.
+
+The destination scan is incremental and exact. Basis rows are
+append-only, so a node's start-of-tick span is its basis object plus its
+rank, and each (sender, receiver) pair keeps an innovation cursor: how
+many sender rows are proven to lie in the receiver's span, and the
+receiver's rank when the next row failed to reduce. Spans only grow, so
+a proven row stays proven and a failing row keeps failing until the
+receiver's rank changes; replacing a basis (crash, rejoin, arrival,
+checkpoint restore) resets that node's cursors. The scan draws nothing
+before its final pick, so the decision stream is the full scan's
+(``docs/THEORY.md`` §8).
 """
 
 from __future__ import annotations
@@ -70,8 +81,8 @@ class CodingTickPolicy(TickPolicy):
     # rather than half-honored.
     adversary_support = "free-riders"
     # Coded uploads are one combination per node per tick structurally
-    # (the span snapshot is rebuilt per round and re-broadcast rules are
-    # causal); only per-node download capacities are honored.
+    # (each round sends from the start-of-tick span and re-broadcast
+    # rules are causal); only per-node download capacities are honored.
     bandwidth_support = "download"
 
     def __init__(self, k: int, n: int, graph: Graph, field: str) -> None:
@@ -92,19 +103,21 @@ class CodingTickPolicy(TickPolicy):
     def bind(self, kernel: TickKernel) -> None:
         super().bind(kernel)
         kernel.graph = self._graph
+        self._reset_all_cursors()
 
     def run_tick(self, snapshot: list[int]) -> None:
         # ``snapshot`` (block masks) is meaningless here; senders use
-        # their start-of-tick *span*: snapshot ranks by copying basis rows
-        # lazily — a row received this tick must not be re-broadcast until
-        # next tick (causality).
+        # their start-of-tick *span*: a row received this tick must not
+        # be re-broadcast until next tick (causality). Rows are
+        # append-only, so that span is the first ``ranks[v]`` rows of
+        # node v's basis in insertion order.
         kernel = self.kernel
         rng = kernel.rng
         k = kernel.k
         dl_left = kernel.download_ledger
         attempt = kernel.attempt
         bases = self.bases
-        snapshots = [list(b.basis_rows()) for b in bases]
+        ranks = [basis.rank for basis in bases]
 
         server_ok = kernel.server_available()
         riders = (
@@ -115,7 +128,7 @@ class CodingTickPolicy(TickPolicy):
         uploaders = [
             v
             for v in range(kernel.n)
-            if snapshots[v]
+            if ranks[v]
             and (v != SERVER or server_ok)
             and v not in riders
         ]
@@ -123,11 +136,15 @@ class CodingTickPolicy(TickPolicy):
         server_rounds = kernel.model.server_upload
         for src in uploaders:
             rounds = server_rounds if src == SERVER else 1
-            src_basis = Gf2Basis(k, snapshots[src])
+            rows = bases[src].ordered_rows(ranks[src])
+            src_basis = None
             for _ in range(rounds):
-                dst = self._pick_destination_snapshot(src, src_basis, dl_left)
+                dst = self._pick_destination(src, rows, dl_left)
                 if dst is None:
                     break
+                if src_basis is None:
+                    # Pivot-descending, the order random_member draws in.
+                    src_basis = Gf2Basis.from_rows(k, rows)
                 vector = src_basis.random_member(rng)
                 if self.field == "ideal":
                     # Large-field limit: a random combination is innovative
@@ -158,28 +175,90 @@ class CodingTickPolicy(TickPolicy):
             self._incomplete.discard(dst)
             self._completions[dst] = self.kernel.tick
 
-    def _pick_destination_snapshot(
-        self, src: int, src_basis: Gf2Basis, dl_left: list[int] | None
+    def _pick_destination(
+        self, src: int, rows: list[int], dl_left: list[int] | None
     ) -> int | None:
+        """A uniformly random eligible receiver for ``src``'s start-of-tick
+        span ``rows`` (insertion order), or ``None``.
+
+        Eligible: a present neighbor (any node on the complete graph)
+        with download capacity left, not yet decodable, whose span does
+        not contain all of ``rows``. A sender of higher rank than the
+        receiver is eligible outright (a larger span cannot lie inside a
+        smaller one); otherwise the containment test resumes from the
+        pair's innovation cursor (see :meth:`_reset_cursors`): rows
+        already proven to lie in the receiver's span are never reduced
+        again, and a row that failed to reduce still fails while the
+        receiver's rank is unchanged.
+        """
         kernel = self.kernel
         bases = self.bases
+        n = kernel.n
+        k = kernel.k
         if isinstance(kernel.graph, CompleteGraph):
-            pool = [v for v in range(kernel.n) if not bases[v].is_full()]
+            pool = range(n)
         else:
-            pool = list(kernel.graph.neighbors(src))
+            pool = kernel.graph.neighbors(src)
         absent = kernel.absent
-        pool = [
-            v
-            for v in pool
-            if v != src
-            and v not in absent
-            and (dl_left is None or dl_left[v] > 0)
-            and not bases[v].is_full()
-            and src_basis.has_innovative_for(bases[v])
-        ]
-        if not pool:
+        proven = self._proven
+        failed_at = self._failed_at
+        rank = len(rows)
+        row_base = src * n
+        candidates = []
+        for v in pool:
+            if (
+                v == src
+                or v in absent
+                or (dl_left is not None and dl_left[v] <= 0)
+            ):
+                continue
+            basis = bases[v]
+            dst_rank = basis.rank
+            if dst_rank == k:
+                continue
+            cursor = row_base + v
+            if rank > dst_rank or failed_at[cursor] == dst_rank:
+                candidates.append(v)
+                continue
+            residue = basis.residue
+            p = proven[cursor]
+            while p < rank and not residue(rows[p]):
+                p += 1
+            proven[cursor] = p
+            if p < rank:
+                failed_at[cursor] = dst_rank
+                candidates.append(v)
+            else:
+                # Not a failure: the cursor must re-scan once src gains
+                # rows, whatever the receiver's rank is then.
+                failed_at[cursor] = -1
+        if not candidates:
             return None
-        return pool[kernel.rng.randrange(len(pool))]
+        return candidates[kernel.rng.randrange(len(candidates))]
+
+    def _reset_all_cursors(self) -> None:
+        n = self.kernel.n
+        self._proven = [0] * (n * n)
+        self._failed_at = [-1] * (n * n)
+
+    def _reset_cursors(self, node: int) -> None:
+        """Forget every innovation cursor involving ``node`` (its basis
+        object was just replaced).
+
+        The cursor of pair (src, dst) lives at ``src * n + dst``:
+        ``_proven`` counts src's leading rows (insertion order) proven to
+        lie in span(dst) — spans only grow, so a proven row stays proven —
+        and ``_failed_at`` is dst's rank when the next row failed to
+        reduce, or -1 when the last scan ran out of rows. A failing row
+        keeps failing until dst's rank changes. Both facts hold only for
+        the same two basis objects, hence the reset.
+        """
+        n = self.kernel.n
+        start = node * n
+        self._proven[start : start + n] = [0] * n
+        self._failed_at[start : start + n] = [-1] * n
+        self._proven[node::n] = [0] * n
+        self._failed_at[node::n] = [-1] * n
 
     def all_complete(self) -> bool:
         return not self._incomplete
@@ -221,6 +300,7 @@ class CodingTickPolicy(TickPolicy):
     def after_crash(self, node: int) -> None:
         """Void the crashed node's basis; it is out of the goal set."""
         self.bases[node] = Gf2Basis(self.kernel.k)
+        self._reset_cursors(node)
         self._incomplete.discard(node)
         self._completions.pop(node, None)
 
@@ -228,6 +308,7 @@ class CodingTickPolicy(TickPolicy):
         """Rebuild the rejoined node's basis from its surviving rows."""
         basis = Gf2Basis(self.kernel.k, retained or ())
         self.bases[node] = basis
+        self._reset_cursors(node)
         if node != SERVER:
             if basis.is_full():
                 self._completions[node] = self.kernel.tick
@@ -250,6 +331,7 @@ class CodingTickPolicy(TickPolicy):
         """A fresh arrival starts with an empty basis and belongs in the
         goal set (it may have been purged if this id was re-planned)."""
         self.bases[node] = Gf2Basis(self.kernel.k)
+        self._reset_cursors(node)
         self._incomplete.add(node)
 
     # -- checkpoint --------------------------------------------------------
@@ -271,6 +353,9 @@ class CodingTickPolicy(TickPolicy):
     def restore_state(self, state: dict[str, object]) -> None:
         k = self.kernel.k
         self.bases = [Gf2Basis.restore_rows(k, rows) for rows in state["bases"]]
+        # Cursors are not checkpointed: they rebuild lazily on the next
+        # scans, which re-derive the same answers.
+        self._reset_all_cursors()
         self.redundant = state["redundant"]
         self._incomplete = set(state["incomplete"])
         self._completions = {node: tick for node, tick in state["completions"]}
@@ -299,6 +384,8 @@ class CodingTickPolicy(TickPolicy):
 
 class NetworkCodingEngine:
     """Tick-synchronous swarm exchanging random GF(2) combinations."""
+
+    _tick_policy_cls = CodingTickPolicy
 
     def __init__(
         self,
@@ -331,7 +418,7 @@ class NetworkCodingEngine:
         graph = overlay if overlay is not None else CompleteGraph(n)
         if graph.n != n:
             raise ConfigError(f"overlay has {graph.n} nodes, swarm has {n}")
-        self.tick_policy = CodingTickPolicy(k, n, graph, field)
+        self.tick_policy = self._tick_policy_cls(k, n, graph, field)
         self.kernel = TickKernel(
             n,
             k,

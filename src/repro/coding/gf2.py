@@ -9,15 +9,23 @@ XOR and the whole basis machinery runs on machine words.
 :class:`Gf2Basis` maintains a row-reduced basis incrementally:
 
 * ``insert`` — O(k) reductions; reports whether the vector was innovative;
-* ``contains`` / ``is_subspace_of`` — membership and span-subset tests;
+* ``residue`` / ``contains`` / ``is_subspace_of`` — reduction, membership
+  and span-subset tests;
 * ``random_member`` — a uniformly random non-zero vector of the span
   (what a network-coding node actually transmits).
+
+Rows are append-only: ``insert`` only ever adds a row with a new pivot and
+never rewrites a stored one, so the first ``r`` rows in insertion order
+(:meth:`Gf2Basis.ordered_rows`) span exactly what the basis spanned when
+its rank was ``r``. The coding engine's incremental destination scan
+relies on this (see ``docs/THEORY.md``).
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable
+from itertools import islice
 
 from ..core.errors import ConfigError
 
@@ -69,8 +77,11 @@ class Gf2Basis:
         """Whether the span is all of GF(2)^k (file decodable)."""
         return len(self._rows) == self.k
 
-    def _reduce(self, vector: int) -> int:
-        """Reduce ``vector`` against the basis; 0 iff in the span."""
+    def residue(self, vector: int) -> int:
+        """Reduce ``vector`` against the basis; 0 iff in the span.
+
+        No range check: the hot-path form of :meth:`contains`.
+        """
         rows = self._rows
         while vector:
             pivot = vector.bit_length() - 1
@@ -83,12 +94,12 @@ class Gf2Basis:
     def contains(self, vector: int) -> bool:
         """Whether ``vector`` lies in the span (0 always does)."""
         self._check(vector)
-        return self._reduce(vector) == 0
+        return self.residue(vector) == 0
 
     def insert(self, vector: int) -> bool:
         """Add ``vector`` to the span; True iff it was innovative."""
         self._check(vector)
-        residue = self._reduce(vector)
+        residue = self.residue(vector)
         if residue == 0:
             return False
         self._rows[residue.bit_length() - 1] = residue
@@ -98,7 +109,7 @@ class Gf2Basis:
         """Whether every vector of this span lies in ``other``'s span."""
         if self.k != other.k:
             raise ConfigError("bases live in different dimensions")
-        return all(other._reduce(row) == 0 for row in self._rows.values())
+        return all(other.residue(row) == 0 for row in self._rows.values())
 
     def has_innovative_for(self, other: "Gf2Basis") -> bool:
         """Whether this span contains a vector outside ``other``'s span."""
@@ -141,6 +152,31 @@ class Gf2Basis:
         """Rebuild a basis from :meth:`capture_rows` output verbatim."""
         basis = cls(k)
         basis._rows = {pivot: row for pivot, row in rows}
+        return basis
+
+    def ordered_rows(self, count: int) -> list[int]:
+        """The first ``count`` rows in insertion order.
+
+        Rows are append-only, so this prefix spans exactly what the basis
+        spanned when its rank was ``count``.
+        """
+        return list(islice(self._rows.values(), count))
+
+    @classmethod
+    def from_rows(cls, k: int, rows: Iterable[int]) -> "Gf2Basis":
+        """A basis holding independent echelon ``rows`` verbatim,
+        re-ordered pivot-descending.
+
+        ``rows`` must have distinct pivots (any :meth:`ordered_rows`
+        output does). The result equals ``Gf2Basis(k, rows)`` fed in
+        pivot-descending order — each row then reduces to itself — and
+        that order is the one :meth:`random_member` assigns coefficient
+        bits in.
+        """
+        basis = cls(k)
+        basis._rows = {
+            row.bit_length() - 1: row for row in sorted(rows, reverse=True)
+        }
         return basis
 
     def basis_rows(self) -> list[int]:

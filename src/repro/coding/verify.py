@@ -205,15 +205,15 @@ def verify_coding_log(
                     tick=tick,
                     rule="upload-capacity",
                 )
-        if not model.unbounded_download:
-            for node, count in downloads.items():
-                if count > model.download:
-                    raise ScheduleViolation(
-                        f"node {node} downloads {count} vectors in one "
-                        f"tick (capacity {model.download})",
-                        tick=tick,
-                        rule="download-capacity",
-                    )
+        for node, count in downloads.items():
+            cap = model.download_capacity(node)
+            if cap is not None and count > cap:
+                raise ScheduleViolation(
+                    f"node {node} downloads {count} vectors in one "
+                    f"tick (capacity {cap})",
+                    tick=tick,
+                    rule="download-capacity",
+                )
         for dst, vec in delivered_now:
             if not bases[dst].insert(vec):
                 redundant += 1

@@ -120,10 +120,18 @@ class ExchangeTickPolicy(TickPolicy):
         # match. They stay eligible for the free server seed above (the
         # paper's one exception to barter), which is exactly the strict
         # regime's point: that seed is all a free-rider ever gets.
+        adversary = kernel.adversary
         riders = (
-            kernel.adversary.free_riders_at(tick)
-            if kernel.adversary is not None
-            else frozenset()
+            adversary.free_riders_at(tick) if adversary is not None else frozenset()
+        )
+        # A swap is two attempts the receiver-side blacklist judges one
+        # direction at a time; a pair with either direction banned could
+        # only trade one way, which strict barter forbids, so it is not
+        # matched at all.
+        blacklisted = (
+            adversary.blacklisted
+            if adversary is not None and adversary.bans
+            else None
         )
         order = [
             v
@@ -144,6 +152,10 @@ class ExchangeTickPolicy(TickPolicy):
                 and (b != seeded or seed_can_barter)
                 and snapshot[a] & ~masks[b]
                 and snapshot[b] & ~masks[a]
+                and (
+                    blacklisted is None
+                    or not (blacklisted(a, b) or blacklisted(b, a))
+                )
             ]
             if not partners:
                 continue

@@ -173,6 +173,24 @@ class TestVerification:
             require_completion=r.completed,
         )
 
+    def test_strict_barter_with_strike_bans_verifies(self):
+        # A banned pair must not be matched at all: a swap whose banned
+        # direction is refused would still deliver the other one.
+        plan = AdversaryPlan(
+            polluters=(2, 5), pollution_rate=0.8, strike_threshold=2
+        )
+        bans = 0
+        for seed in range(30):
+            r = _run("exchange", plan, rng=seed)
+            bans += r.meta["bans"]
+            verify_log(
+                r.log, r.n, r.k,
+                mechanism=StrictBarter(),
+                require_completion=r.completed,
+                strike_threshold=plan.strike_threshold,
+            )
+        assert bans > 0
+
 
 class TestArrayBackend:
     def test_armed_plan_matches_loop_backend(self):

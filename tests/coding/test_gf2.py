@@ -135,3 +135,36 @@ class TestRandomMembers:
             assert b.rank == rank
         else:
             assert b.rank == 0
+
+
+class TestAppendOnlyRows:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=(1 << 12) - 1), max_size=24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_spans_the_basis_at_that_rank(self, vectors):
+        basis = Gf2Basis(12)
+        history = []  # basis_rows() at each rank, in order
+        for v in vectors:
+            if basis.insert(v):
+                history.append(Gf2Basis(12, basis.basis_rows()))
+        for rank, then in enumerate(history, start=1):
+            prefix = Gf2Basis(12, basis.ordered_rows(rank))
+            assert prefix.rank == rank
+            assert prefix.is_subspace_of(then) and then.is_subspace_of(prefix)
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=(1 << 12) - 1), max_size=24),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_from_rows_matches_pivot_descending_insertion(self, vectors, seed):
+        basis = Gf2Basis(12, vectors)
+        rows = basis.ordered_rows(basis.rank)
+        rebuilt = Gf2Basis.from_rows(12, rows)
+        inserted = Gf2Basis(12, basis.basis_rows())
+        assert rebuilt.capture_rows() == inserted.capture_rows()
+        if rows:
+            a, b = random.Random(seed), random.Random(seed)
+            draws = [rebuilt.random_member(a) for _ in range(5)]
+            assert draws == [inserted.random_member(b) for _ in range(5)]

@@ -22,6 +22,10 @@ import pytest
 
 from repro.checkpoint import resume_engine, save_checkpoint
 from repro.core.errors import CheckpointError
+from repro.core.serde import log_to_dict
+from repro.faults import FaultPlan
+from repro.overlays.random_regular import random_regular_graph
+from repro.sim.registry import create_engine
 
 from .capture_golden import result_fingerprint
 from .golden_specs import ARRAY_CAPABLE_SPECS, GOLDEN_ENGINE_FACTORIES
@@ -31,14 +35,14 @@ def _kernel(engine):
     return getattr(engine, "kernel", engine)
 
 
-def _reference_run(factory):
+def _reference_run(factory, fingerprint=result_fingerprint):
     """Run the spec once, capturing the boundary state at every tick."""
     payloads: dict[int, dict] = {}
     engine = factory()
     _kernel(engine).arm_checkpoints(
         1, sink=lambda p: payloads.setdefault(p["tick"], p)
     )
-    return result_fingerprint(engine.run()), payloads
+    return fingerprint(engine.run()), payloads
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ENGINE_FACTORIES))
@@ -113,3 +117,95 @@ def test_restore_refuses_stepped_kernel() -> None:
     _kernel(engine).step()
     with pytest.raises(CheckpointError, match="freshly constructed"):
         _kernel(engine).restore_checkpoint(document)
+
+
+# -- engines whose scans keep state that a checkpoint does not carry ------
+
+
+_SCAN_CRASH_PLAN = FaultPlan(
+    loss_rate=0.05,
+    crash_rate=0.03,
+    rejoin_delay=3,
+    rejoin_retention=0.5,
+    max_crashes=6,
+)
+
+
+def _coding_crash_sparse(**kw):
+    """Coding on a sparse overlay with crashes and loss: the innovation
+    cursors are rebuilt lazily after a restore."""
+    from repro.coding.engine import NetworkCodingEngine
+
+    return NetworkCodingEngine(
+        18,
+        8,
+        overlay=random_regular_graph(18, 4, rng=2),
+        rng=31,
+        faults=_SCAN_CRASH_PLAN,
+        max_ticks=2000,
+        **kw,
+    )
+
+
+def _async_crash_slots(**kw):
+    """Async with two download slots and crashes: several blocks in
+    flight toward one node cross the checkpoint boundaries."""
+    return create_engine(
+        "async",
+        16,
+        8,
+        rng=12,
+        faults=_SCAN_CRASH_PLAN,
+        parallel_downloads=2,
+        max_ticks=2000,
+        **kw,
+    )
+
+
+def _full_fingerprint(result) -> str:
+    return json.dumps(
+        {
+            "log": log_to_dict(result.log, result.n, result.k),
+            "completion_time": result.completion_time,
+            "abort": result.abort,
+            "meta": result.meta,
+        },
+        sort_keys=True,
+        default=repr,
+    )
+
+
+@pytest.mark.parametrize(
+    "factory", [_coding_crash_sparse, _async_crash_slots], ids=["coding", "async"]
+)
+def test_scan_state_resumes_bit_identically_from_every_tick(factory) -> None:
+    baseline, payloads = _reference_run(factory, _full_fingerprint)
+    # Non-vacuous: some boundaries fall after a crash replaced a node's
+    # state, before the run ended.
+    first_crash = min(t for t, _ in json.loads(baseline)["meta"]["crash_events"])
+    assert max(payloads) > first_crash
+    for tick, payload in sorted(payloads.items()):
+        document = json.loads(json.dumps(payload))
+        resumed = factory()
+        _kernel(resumed).restore_checkpoint(document)
+        assert _full_fingerprint(resumed.run()) == baseline, (
+            f"resume from tick {tick} diverged"
+        )
+
+
+@pytest.mark.parametrize(
+    "factory", [_coding_crash_sparse, _async_crash_slots], ids=["coding", "async"]
+)
+def test_scan_state_resets_on_restore_into_a_used_engine(factory) -> None:
+    """Restore must drop scan state left by a run the engine already
+    made, not only start from a fresh engine's empty state."""
+    baseline, payloads = _reference_run(factory, _full_fingerprint)
+    reused = factory()
+    reused.run()
+    for tick, payload in sorted(payloads.items()):
+        # Rewound past the fresh-kernel guard on purpose.
+        _kernel(reused).tick = 0
+        _kernel(reused).restore_checkpoint(json.loads(json.dumps(payload)))
+        assert _full_fingerprint(reused.run()) == baseline, (
+            f"resume from tick {tick} diverged"
+        )
