@@ -35,6 +35,20 @@ cleared when it ends or is aborted, so the useful blocks for a pair are
 one mask expression and the randomized strategies' destination scan
 reads the live busy counts and masks directly. Checkpoints list the
 masks as sorted ``[dst, block]`` pairs.
+
+Idle retries are event-driven for the built-in randomized strategies
+(:class:`~repro.asynchronous.strategies.AsyncRandom`,
+:class:`~repro.asynchronous.strategies.AsyncRarest`): a retry that finds
+no destination draws nothing and leaves the node *proven fruitless*.
+Between :attr:`~repro.core.state.SwarmState.epoch` bumps holdings and
+in-flight state only grow, so such a node stays fruitless until it is
+an endpoint of a finished transfer (its uplink freed, or it gained a
+block) or that transfer's receiver becomes a destination it can serve.
+Retries skip it until then, in the same ascending order as a full
+rescan, so every draw is unchanged. The memo is derived state: never
+checkpointed, dropped on bind, restore and every epoch bump. Other
+strategies (the clock-driven hypercube walk, user strategies) are
+rescanned at every retry point.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from ..core.errors import ConfigError
 from ..core.model import SERVER
 from ..sim.kernel import TickKernel
 from ..sim.policy import TickPolicy
+from .strategies import AsyncRandom, AsyncRarest
 
 __all__ = ["AsyncTransfer", "AsyncTickPolicy", "validate_rates"]
 
@@ -111,6 +126,9 @@ class AsyncTickPolicy(TickPolicy):
         if parallel_downloads < 1:
             raise ConfigError("need at least one download slot")
         self.strategy = strategy
+        # Exact types: a subclass may override the scan, so only the
+        # built-in pick is known to depend on state alone (not the clock).
+        self._memoise = type(strategy) in (AsyncRandom, AsyncRarest)
         self.up = up
         self.down = down
         self.parallel_downloads = parallel_downloads
@@ -135,6 +153,10 @@ class AsyncTickPolicy(TickPolicy):
         self._events: list[tuple[float, int, AsyncTransfer]] = []
         self._event_seq = 0
         self._idle: set[int] = set()
+        # Idle nodes whose last start attempt proved them fruitless (see
+        # module docstring), valid for swarm epoch ``_memo_epoch``.
+        self._fruitless: set[int] = set()
+        self._memo_epoch = -1
         self._silent_hops = 0
         # Phase boundaries are dense (roughly one per node per link
         # period), so the fruitless-hop budget covers several full link
@@ -190,6 +212,8 @@ class AsyncTickPolicy(TickPolicy):
 
     def _try_start(self, src: int) -> bool:
         if self._uplink_busy[src] or self.kernel.state.masks[src] == 0:
+            if self._memoise:
+                self._fruitless.add(src)
             return False
         faults = self.kernel.faults
         if src == SERVER and faults is not None and faults.server_down(self.now):
@@ -204,6 +228,8 @@ class AsyncTickPolicy(TickPolicy):
             return False
         choice = self.strategy.next_transfer(self, src)
         if choice is None:
+            if self._memoise:
+                self._fruitless.add(src)
             return False
         dst, block = choice
         if not self.kernel.state.masks[src] >> block & 1:
@@ -236,17 +262,49 @@ class AsyncTickPolicy(TickPolicy):
         assert best is not None
         return best
 
-    def _retry_idle(self) -> bool:
+    def _open_blocks(self, dst: int) -> int:
+        """Mask of the blocks ``dst`` neither holds nor is receiving (a
+        negative int: the complement) if it is a present client with a
+        free download slot, else 0. ``have & _open_blocks(dst)`` is then
+        what a holder of ``have`` could start toward ``dst``."""
+        if dst == SERVER or not self.downlink_free(dst):
+            return 0
+        return ~(self.kernel.state.masks[dst] | self._inbound[dst])
+
+    def _retry_idle(self, receiver: int | None = None) -> bool:
+        """Retry every idle node not proven fruitless.
+
+        ``receiver`` is the node a transfer just finished toward: the
+        one destination that may have opened up for a fruitless node
+        (itself already cleared from the memo by the caller).
+        """
         # Sorted: small-int sets happen to iterate ascending (every value
         # sits in its home slot), but that is an implementation accident;
         # the retry order feeds strategy RNG draws, so it must be a
         # function of the set's *content* for checkpoint restore to
         # continue bit-identically.
+        fruitless = self._fruitless
+        masks = self.kernel.state.masks
+        uplink_busy = self._uplink_busy
+        lack = 0
+        if receiver is not None and fruitless:
+            lack = self._open_blocks(receiver)
         started = False
         for node in sorted(self._idle):
+            if node in fruitless:
+                if (
+                    not masks[node] & lack
+                    or uplink_busy[node]
+                    or not self.strategy.reaches(node, receiver)
+                ):
+                    continue
+                fruitless.discard(node)
             if self._try_start(node):
                 self._idle.discard(node)
                 started = True
+                if lack:
+                    # Starts only shrink what the receiver can take.
+                    lack = self._open_blocks(receiver)
         return started
 
     def _finish(self, transfer: AsyncTransfer) -> None:
@@ -264,13 +322,22 @@ class AsyncTickPolicy(TickPolicy):
             self.failed.append(transfer)
         self._idle.add(src)
         self._idle.add(dst)
-        self._retry_idle()
+        self._fruitless.discard(src)
+        self._fruitless.discard(dst)
+        self._retry_idle(dst)
 
     def run_tick(self, snapshot: list[int]) -> None:
         # ``snapshot`` (start-of-tick masks) is unused: asynchrony has no
         # synchronous forwarding rule — a block is forwardable the
         # continuous instant its transfer ends, which the event order
         # already guarantees.
+        epoch = self.kernel.state.epoch
+        if epoch != self._memo_epoch:
+            # Crash, rejoin, arrival, departure or restore: presence and
+            # holdings changed outside the transfer stream (always at a
+            # window boundary), so nothing proven before still holds.
+            self._fruitless.clear()
+            self._memo_epoch = epoch
         if not self._started:
             self._started = True
             for v in range(self.kernel.n):
@@ -391,6 +458,8 @@ class AsyncTickPolicy(TickPolicy):
         self._silent_hops = state["silent_hops"]
         self._hops_exhausted = state["hops_exhausted"]
         self._started = state["started"]
+        self._fruitless = set()
+        self._memo_epoch = -1
         restore = getattr(self.strategy, "restore_state", None)
         if restore is not None:
             restore(state.get("strategy", {}))

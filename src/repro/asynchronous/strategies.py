@@ -140,6 +140,20 @@ class _AsyncRandomBase:
         dst, useful = candidates[engine.rng.randrange(len(candidates))]
         return dst, self._block(engine, useful)
 
+    def reaches(self, src: int, dst: int) -> bool:
+        """Whether :meth:`_pick`'s pool for ``src`` may hold ``dst``.
+
+        Over a complete overlay the pool is the incomplete clients, and
+        any client ``src`` could usefully serve is one, so only a sparse
+        overlay's adjacency is checked.
+        """
+        overlay = self.overlay
+        return (
+            overlay is None
+            or isinstance(overlay, CompleteGraph)
+            or dst in overlay.neighbors(src)
+        )
+
     def _block(self, engine, useful: int) -> int:
         raise NotImplementedError
 

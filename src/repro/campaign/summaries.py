@@ -380,9 +380,12 @@ class SummaryBatch:
 
     def save(self, path: str) -> None:
         """Atomically write the columnar document to ``path``."""
+        # Encoded in one ``dumps`` (the C encoder; ``json.dump`` streams
+        # through the pure-Python one) and written at once.
+        text = json.dumps(self.to_doc(), sort_keys=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_doc(), handle, sort_keys=True)
+            handle.write(text)
             handle.flush()
         os.replace(tmp, path)
 

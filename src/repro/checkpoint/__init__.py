@@ -111,8 +111,11 @@ def save_checkpoint(path: str | os.PathLike, payload: dict) -> None:
     document["digest"] = checkpoint_digest(document)
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
+    # One ``dumps`` and one write: ``json.dump`` streams through the
+    # pure-Python encoder, ``dumps`` runs the C one (same bytes).
+    text = json.dumps(document, separators=(",", ":"), allow_nan=False)
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"), allow_nan=False)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

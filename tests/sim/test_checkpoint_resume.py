@@ -26,6 +26,7 @@ from repro.core.serde import log_to_dict
 from repro.faults import FaultPlan
 from repro.overlays.random_regular import random_regular_graph
 from repro.sim.registry import create_engine
+from repro.workloads import WorkloadSpec
 
 from .capture_golden import result_fingerprint
 from .golden_specs import ARRAY_CAPABLE_SPECS, GOLDEN_ENGINE_FACTORIES
@@ -162,6 +163,29 @@ def _async_crash_slots(**kw):
     )
 
 
+def _async_sparse_arrivals(**kw):
+    """AsyncRandom on a sparse overlay with crashes, rejoins, loss and
+    arrivals: the idle-retry memo is dropped at every epoch bump and
+    rebuilt lazily after a restore."""
+    return create_engine(
+        "async",
+        18,
+        8,
+        overlay=random_regular_graph(18, 4, rng=4),
+        rng=21,
+        faults=_SCAN_CRASH_PLAN,
+        workload=WorkloadSpec(
+            initial_fraction=0.5, arrival_rate=0.5, arrival_stop=12
+        ),
+        max_ticks=2000,
+        **kw,
+    )
+
+
+_SCAN_FACTORIES = [_coding_crash_sparse, _async_crash_slots, _async_sparse_arrivals]
+_SCAN_IDS = ["coding", "async", "async-sparse-arrivals"]
+
+
 def _full_fingerprint(result) -> str:
     return json.dumps(
         {
@@ -175,9 +199,7 @@ def _full_fingerprint(result) -> str:
     )
 
 
-@pytest.mark.parametrize(
-    "factory", [_coding_crash_sparse, _async_crash_slots], ids=["coding", "async"]
-)
+@pytest.mark.parametrize("factory", _SCAN_FACTORIES, ids=_SCAN_IDS)
 def test_scan_state_resumes_bit_identically_from_every_tick(factory) -> None:
     baseline, payloads = _reference_run(factory, _full_fingerprint)
     # Non-vacuous: some boundaries fall after a crash replaced a node's
@@ -193,9 +215,7 @@ def test_scan_state_resumes_bit_identically_from_every_tick(factory) -> None:
         )
 
 
-@pytest.mark.parametrize(
-    "factory", [_coding_crash_sparse, _async_crash_slots], ids=["coding", "async"]
-)
+@pytest.mark.parametrize("factory", _SCAN_FACTORIES, ids=_SCAN_IDS)
 def test_scan_state_resets_on_restore_into_a_used_engine(factory) -> None:
     """Restore must drop scan state left by a run the engine already
     made, not only start from a fresh engine's empty state."""
@@ -206,6 +226,28 @@ def test_scan_state_resets_on_restore_into_a_used_engine(factory) -> None:
         # Rewound past the fresh-kernel guard on purpose.
         _kernel(reused).tick = 0
         _kernel(reused).restore_checkpoint(json.loads(json.dumps(payload)))
+        assert _full_fingerprint(reused.run()) == baseline, (
+            f"resume from tick {tick} diverged"
+        )
+
+
+def test_async_restore_drops_a_stale_idle_memo() -> None:
+    """A used engine's idle memo must not survive a restore. Poison it
+    before each restore — every node proven fruitless, valid for the
+    current epoch — and the restored policy must start with no node
+    proven fruitless and continue exactly like the uninterrupted run."""
+    baseline, payloads = _reference_run(_async_sparse_arrivals, _full_fingerprint)
+    reused = _async_sparse_arrivals()
+    reused.run()
+    kernel = _kernel(reused)
+    policy = reused.policy
+    assert policy._fruitless, "the finished run proved no node fruitless"
+    for tick, payload in sorted(payloads.items()):
+        policy._fruitless.update(range(kernel.n))
+        policy._memo_epoch = kernel.state.epoch
+        kernel.tick = 0  # rewound past the fresh-kernel guard on purpose
+        kernel.restore_checkpoint(json.loads(json.dumps(payload)))
+        assert not policy._fruitless
         assert _full_fingerprint(reused.run()) == baseline, (
             f"resume from tick {tick} diverged"
         )
