@@ -6,8 +6,8 @@ package supplies the non-cooperation so the claim can be stressed. An
 upload, polluters whose blocks fail integrity checks, liars who
 advertise blocks they will not serve, activation windows, strike-based
 blacklisting), an :class:`AdversaryDriver` realises it per run from a
-dedicated RNG stream, and every engine declares how much of the model it
-honors (``adversary_support``, mirroring ``fault_support``). Engines run
+dedicated RNG stream, and every engine's policy class declares how much
+of the model it honors (``adversary_support``). Engines run
 under a plan through :func:`adversary_run`, which constructs them by
 :mod:`repro.sim` registry name (engines also take ``adversary=`` keyword
 arguments directly).

@@ -27,10 +27,10 @@ window). Two front ends wrap it:
   ``max_ticks`` / ``keep_log`` / ``faults`` / ``recovery`` / progress
   callback) returning the uniform :class:`~repro.core.log.RunResult`.
 
-Both carry the full fault model, including node crash/rejoin
-(``fault_support = "full"``). With all rates equal to 1 this reduces to
-the synchronous model up to scheduling slack, so the test suite
-cross-checks completion times against the tick engines.
+Both carry the full fault model, including node crash/rejoin. With all
+rates equal to 1 this reduces to the synchronous model up to scheduling
+slack, so the test suite cross-checks completion times against the tick
+engines.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ by event (and phase boundary by phase boundary when every link idles)
 exactly as the standalone loop did. Decisions are unchanged — the same
 strategies see the same ``now``/phase/retry sequence — but the run now
 flows through ``kernel.attempt``, which is what buys the asynchronous
-engine the full fault model (``fault_support = "full"``: loss, outages,
-server windows, node crash/rejoin), stall abort, ``--progress``
-callbacks and golden-log coverage for free.
+engine the full fault model (loss, outages, server windows, node
+crash/rejoin), stall abort, ``--progress`` callbacks and golden-log
+coverage for free.
 
 Quantization contract: a transfer ending at continuous time ``T`` is
 logged in the tick ``ceil(T)`` of the window it ends in, matching the
@@ -27,7 +27,9 @@ consistent with the tick engines).
 A node crash aborts its in-flight transfers — both endpoints' links
 free immediately, nothing is logged for the aborted flight
 (``aborted_in_flight`` counts them in run metadata) — and a rejoining
-node re-enters with whatever block mask it retained.
+node re-enters with whatever block mask it retained. Workload arrivals
+become idle-eligible like rejoiners and departures abort in-flight
+transfers like crashes; both land on window starts.
 
 Blocks in flight toward each node are kept as one bitmask per node
 (:attr:`AsyncTickPolicy.inbound`), set when a transfer starts and
@@ -102,13 +104,9 @@ class AsyncTickPolicy(TickPolicy):
     """
 
     name = "async"
-    fault_support = "full"
     # Downlink slots are continuous-time state (``parallel_downloads``
     # concurrent in-flight transfers), managed here, not per-tick.
     uses_download_ledger = False
-    # Arrivals become idle-eligible like rejoiners; departures abort
-    # in-flight transfers like crashes. Events land on window starts.
-    membership_support = True
     adversary_support = "full"
     # Continuous time honors both axes natively: per-node float rates
     # already exist, and the engine builder maps a realized tier model

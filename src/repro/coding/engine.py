@@ -24,9 +24,9 @@ what that buys on low-degree overlays.
 
 On the :mod:`repro.sim` kernel, delivery means inserting the coded
 vector into the receiver's basis (the policy overrides the kernel's
-delivery hook), and the engine gains the full fault model
-(``fault_support = "full"``): transfer loss, link/server outages, stall
-abort, progress callbacks, and node crash/rejoin. Retained state across
+delivery hook), and the engine gains the full fault model: transfer
+loss, link/server outages, stall abort, progress callbacks, and node
+crash/rejoin. Retained state across
 a crash is *rows of the GF(2) basis*, not block bits: each basis row
 survives independently with probability ``rejoin_retention``, and the
 rejoining node's basis is rebuilt (rank recomputed) from the surviving
@@ -73,8 +73,6 @@ class CodingTickPolicy(TickPolicy):
     """
 
     name = "network-coding"
-    fault_support = "full"
-    membership_support = True
     # Free-riders only: a polluted coded vector would desynchronise the
     # coding_vectors streams from the kernel log (verify_coding_log
     # replays spans row-for-row), so pollution/lie plans are refused
@@ -440,10 +438,6 @@ class NetworkCodingEngine:
         return self.tick_policy.bases
 
     @property
-    def redundant(self) -> int:
-        return self.tick_policy.redundant
-
-    @property
     def log(self):
         return self.kernel.log
 
@@ -455,10 +449,6 @@ class NetworkCodingEngine:
     def graph(self) -> Graph:
         assert self.kernel.graph is not None
         return self.kernel.graph
-
-    @property
-    def uploads_per_tick(self) -> list[int]:
-        return self.kernel.uploads_per_tick
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         """Run until every client can decode, or the tick guard trips."""

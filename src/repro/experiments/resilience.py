@@ -107,8 +107,8 @@ class _ResilienceRun:
                 max_ticks=self.max_ticks, faults=plan,
             )
         if mechanism in ("bittorrent", "coding", "async"):
-            # Registry engines by their own names — all three graduated
-            # to fault_support="full", so the same plan applies verbatim.
+            # Registry engines by their own names — every engine carries
+            # the full fault model, so the same plan applies verbatim.
             return run_engine(
                 mechanism, self.n, self.k, rng=seed,
                 max_ticks=self.max_ticks, keep_log=False, faults=plan,

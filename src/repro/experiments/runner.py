@@ -200,11 +200,11 @@ def _engine_table() -> str:
     """Render the :mod:`repro.sim` engine registry as an aligned table."""
     from ..sim.registry import ENGINES
 
-    rows = [("engine", "faults", "adversary", "bandwidth", "mechanism", "summary")]
+    rows = [("engine", "array", "adversary", "bandwidth", "mechanism", "summary")]
     rows.extend(
         (
             spec.name,
-            spec.fault_support,
+            "yes" if spec.array_backend else "no",
             spec.adversary_support,
             spec.bandwidth_support,
             spec.mechanism,

@@ -50,9 +50,8 @@ def fault_run(
 
     A thin veneer over :func:`repro.sim.registry.run_engine` that leads
     with the fault arguments — the fault suite's idiom for "same plan,
-    every engine". Plans an engine cannot honor raise
-    :class:`~repro.core.errors.ConfigError` at construction (see
-    ``EngineSpec.fault_support``).
+    every engine". Every engine honors every fault axis, node crashes
+    included.
     """
     # Imported lazily: the kernel imports this package, so a top-level
     # import of repro.sim here would be circular.

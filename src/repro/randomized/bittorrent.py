@@ -23,12 +23,13 @@ BitTorrent within the same tick model so both claims can be measured:
   the other five engines.
 
 Running on the :mod:`repro.sim` kernel gives this engine the full fault
-model (``fault_support = "full"``): transfer loss, link/server outages,
-stall abort, progress callbacks, and node crash/rejoin. A crash evicts
-the node from every unchoke set and voids its receipt history — the next
-rechoke re-ranks without ghosts — and a rejoining node is re-seeded
-through the server's optimistic-unchoke path until it earns
-reciprocation slots again.
+model: transfer loss, link/server outages, stall abort, progress
+callbacks, and node crash/rejoin. A crash evicts the node from every
+unchoke set and voids its receipt history — the next rechoke re-ranks
+without ghosts — and a rejoining node is re-seeded through the server's
+optimistic-unchoke path until it earns reciprocation slots again.
+Workload arrivals ride the same rejoin bootstrap and departures the
+crash eviction.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class BitTorrentTickPolicy(TickPolicy):
     """Tit-for-tat choking as a kernel policy; see module docstring."""
 
     name = "bittorrent"
-    fault_support = "full"
-    # Arrivals ride the rejoin bootstrap (server-side optimistic
-    # unchoke); departures ride the crash eviction.
-    membership_support = True
     adversary_support = "full"
     bandwidth_support = "full"
 
@@ -420,10 +417,6 @@ class BitTorrentEngine:
     def graph(self) -> Graph:
         assert self.kernel.graph is not None
         return self.kernel.graph
-
-    @property
-    def uploads_per_tick(self) -> list[int]:
-        return self.kernel.uploads_per_tick
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)

@@ -44,7 +44,6 @@ from ..core.log import RunResult, TransferLog
 from ..core.mechanisms import Cooperative, CreditLimitedBarter, Mechanism
 from ..core.model import SERVER, BandwidthModel
 from ..core.state import SwarmState
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.recovery import RecoveryPolicy
 from ..overlays.dynamic import DynamicOverlay
@@ -81,9 +80,7 @@ class RandomizedTickPolicy(TickPolicy):
     """
 
     name = "randomized"
-    fault_support = "full"
     supports_array = True
-    membership_support = True
     adversary_support = "full"
     bandwidth_support = "full"
 
@@ -908,18 +905,6 @@ class RandomizedEngine:
         return self.kernel.rng
 
     @property
-    def model(self) -> BandwidthModel:
-        return self.kernel.model
-
-    @property
-    def max_ticks(self) -> int:
-        return self.kernel.max_ticks
-
-    @property
-    def keep_log(self) -> bool:
-        return self.kernel.keep_log
-
-    @property
     def tick(self) -> int:
         return self.kernel.tick
 
@@ -932,33 +917,6 @@ class RandomizedEngine:
         assert self.kernel.graph is not None
         return self.kernel.graph
 
-    @property
-    def uploads_per_tick(self) -> list[int]:
-        return self.kernel.uploads_per_tick
-
-    @property
-    def failures_per_tick(self) -> list[int]:
-        return self.kernel.failures_per_tick
-
-    @property
-    def faults(self) -> FaultInjector | None:
-        return self.kernel.faults
-
-    @property
-    def fault_plan(self) -> FaultPlan | None:
-        return self.kernel.fault_plan
-
-    @property
-    def recovery(self) -> RecoveryPolicy:
-        return self.kernel.recovery
-
-    @property
-    def _absent(self) -> set[int]:
-        return self.kernel.absent
-
-    def _pool_add(self, v: int) -> None:
-        self.kernel._pool_add(v)
-
     def _pool_remove(self, v: int) -> None:
         self.kernel._pool_remove(v)
 
@@ -966,7 +924,7 @@ class RandomizedEngine:
         """Advance one tick; returns the number of *delivered* transfers.
 
         Failed attempts (fault injection) are counted separately in
-        ``failures_per_tick``.
+        ``kernel.failures_per_tick``.
         """
         return self.kernel.step()
 

@@ -55,14 +55,12 @@ class ExchangeTickPolicy(TickPolicy):
     """
 
     name = "randomized-exchange"
-    fault_support = "full"
     uses_download_ledger = False
     # Matching decisions feed back on live masks (a delivered swap
     # changes later partners' mutual interest), so exchange keeps the
     # per-attempt path on the array backend and gains its mirrored
     # ownership words.
     supports_array = True
-    membership_support = True
     adversary_support = "full"
     # One swap per client per tick is structural here — a fast tier's
     # extra upload capacity cannot be spent — so only the download axis

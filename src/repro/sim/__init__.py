@@ -9,7 +9,7 @@ the contract.
 """
 
 from .kernel import TickKernel, default_max_ticks
-from .policy import FAULT_SUPPORT_LEVELS, TickPolicy
+from .policy import TickPolicy
 from .registry import (
     ENGINES,
     EngineSpec,
@@ -23,7 +23,6 @@ from .registry import (
 __all__ = [
     "ENGINES",
     "EngineSpec",
-    "FAULT_SUPPORT_LEVELS",
     "TickKernel",
     "TickPolicy",
     "create_engine",

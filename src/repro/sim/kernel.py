@@ -55,12 +55,7 @@ from ..telemetry.spec import TelemetrySpec
 from ..workloads.compiler import compile_workload
 from ..workloads.spec import WorkloadSpec
 from .membership import MembershipRuntime
-from .policy import (
-    ADVERSARY_SUPPORT_LEVELS,
-    BANDWIDTH_SUPPORT_LEVELS,
-    FAULT_SUPPORT_LEVELS,
-    TickPolicy,
-)
+from .policy import ADVERSARY_SUPPORT_LEVELS, BANDWIDTH_SUPPORT_LEVELS, TickPolicy
 
 __all__ = ["TickKernel", "default_max_ticks"]
 
@@ -70,6 +65,42 @@ def default_max_ticks(n: int, k: int) -> int:
     (worst cases there are ~6k ticks at n = k = 1000), yet finite so a
     non-converging configuration returns instead of spinning."""
     return 40 * k + 10 * n + 1000
+
+
+def _refuse_unsupported(
+    policy: TickPolicy,
+    attr: str,
+    levels: tuple[str, ...],
+    spec: object,
+    axis: str,
+    partial: str | None,
+    fix: str,
+) -> None:
+    """Raise ``ConfigError`` unless ``policy`` honors the non-null ``spec``.
+
+    ``attr`` names the policy's declaration, one of ``levels`` (weakest
+    first). The weakest level refuses every spec of the ``axis``; an
+    intermediate level refuses only a spec that uses ``partial``, the
+    part that needs the strongest level, which ``fix`` tells the caller
+    how to drop.
+    """
+    level = getattr(policy, attr)
+    if level not in levels:  # pragma: no cover - dev error
+        raise ConfigError(
+            f"policy {policy.name!r} declares unknown {attr} {level!r}"
+        )
+    if level == levels[0]:
+        raise ConfigError(
+            f"the {policy.name} engine does not support {axis} "
+            f"({attr}={level!r}); remove the {type(spec).__name__} or pick "
+            f"an engine from the parity table in docs/API.md"
+        )
+    if partial is not None and level != levels[-1]:
+        raise ConfigError(
+            f"the {policy.name} engine ({attr}={level!r}) does not carry "
+            f"{partial}; {fix} or pick an engine with {attr}="
+            f"{levels[-1]!r} from the parity table in docs/API.md"
+        )
 
 
 class TickKernel:
@@ -94,9 +125,8 @@ class TickKernel:
         memory on huge sweeps — per-tick upload counts are kept anyway.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`. A null plan is
-        normalised to "no faults" (bit-identical runs); a non-null plan
-        must fit ``policy.fault_support`` or construction raises
-        :class:`~repro.core.errors.ConfigError`.
+        normalised to "no faults" (bit-identical runs). Every policy
+        carries every fault axis, crash/rejoin included.
     recovery:
         :class:`~repro.faults.recovery.RecoveryPolicy` governing stall
         detection and server reseeding; consulted only under faults.
@@ -116,20 +146,18 @@ class TickKernel:
         the policy lacks array support.
     workload:
         Optional :class:`~repro.workloads.spec.WorkloadSpec`. A null
-        spec is normalised to "no workload" (bit-identical runs); a
-        non-null spec needs ``policy.membership_support`` or
-        construction raises :class:`~repro.core.errors.ConfigError` —
-        the ``fault_support`` honesty contract, applied to arrivals.
-        The spec is compiled once per run with a seed drawn from the
-        decision stream (after the fault injector's, so fault telemetry
-        is unchanged by attaching a workload) and executed by
+        spec is normalised to "no workload" (bit-identical runs); every
+        policy hosts a non-null one. The spec is compiled once per run
+        with a seed drawn from the decision stream (after the fault
+        injector's, so fault telemetry is unchanged by attaching a
+        workload) and executed by
         :class:`~repro.sim.membership.MembershipRuntime`.
     adversary:
         Optional :class:`~repro.adversary.plan.AdversaryPlan`. A null
         plan is normalised to "no adversaries" (bit-identical runs); a
-        non-null plan must fit ``policy.adversary_support`` — the
-        ``fault_support`` honesty contract, applied to misbehavior — or
-        construction raises :class:`~repro.core.errors.ConfigError`.
+        non-null plan must fit ``policy.adversary_support`` or
+        construction raises :class:`~repro.core.errors.ConfigError`, so
+        misbehavior is never silently ignored.
         The driver's RNG stream is seeded *last* (after the injector's
         and the workload compile seed) and only for plans that actually
         need randomness, so attaching a purely deterministic plan
@@ -138,9 +166,9 @@ class TickKernel:
     bandwidth:
         Optional :class:`~repro.core.bandwidth.BandwidthClasses`. A null
         spec is normalised to "uniform model" (bit-identical runs); a
-        non-null spec must fit ``policy.bandwidth_support`` — the
-        ``fault_support`` honesty contract, applied to capacities — or
-        construction raises :class:`~repro.core.errors.ConfigError`.
+        non-null spec must fit ``policy.bandwidth_support`` or
+        construction raises :class:`~repro.core.errors.ConfigError`, so
+        tiers are never silently flattened to the uniform model.
         Realization draws one seed from the decision stream, *after*
         every other derived stream (injector, workload, adversary), so
         attaching tiers never shifts fault, arrival or adversary
@@ -237,31 +265,8 @@ class TickKernel:
         # Fault injection. A null plan is normalised away so that
         # ``faults=FaultPlan()`` costs nothing — no injector, no extra
         # RNG draw — and the run is bit-identical to a fault-free one.
-        support = policy.fault_support
-        if support not in FAULT_SUPPORT_LEVELS:  # pragma: no cover - dev error
-            raise ConfigError(
-                f"policy {policy.name!r} declares unknown fault_support "
-                f"{support!r}"
-            )
         self.recovery = recovery or RecoveryPolicy()
         plan = faults if faults is not None and not faults.is_null else None
-        if plan is not None:
-            if support == "none":
-                raise ConfigError(
-                    f"the {policy.name} engine does not support fault "
-                    f"injection (fault_support='none'); remove the "
-                    f"FaultPlan or pick an engine from the fault parity "
-                    f"table in docs/API.md"
-                )
-            if plan.crash_rate > 0.0 and support != "full":
-                raise ConfigError(
-                    f"the {policy.name} engine (fault_support={support!r}) "
-                    f"carries transfer loss, link outages and server outage "
-                    f"windows, but not node crashes "
-                    f"(crash_rate={plan.crash_rate}); set crash_rate=0 or "
-                    f"pick a fault_support='full' engine from the fault "
-                    f"parity table in docs/API.md"
-                )
         self.fault_plan = plan
         if plan is not None:
             self.faults: FaultInjector | None = FaultInjector(
@@ -319,20 +324,12 @@ class TickKernel:
 
         # Open-system workload. Mirrors the fault-plan contract: a null
         # spec is normalised away (no membership runtime, no extra RNG
-        # draw — bit-identical to a plain run), and a non-null spec on a
-        # policy without membership support is refused loudly. The
-        # compile seed is drawn *after* the fault injector's, so
-        # attaching a workload never shifts fault randomness.
+        # draw — bit-identical to a plain run). The compile seed is drawn
+        # *after* the fault injector's, so attaching a workload never
+        # shifts fault randomness.
         spec = workload if workload is not None and not workload.is_null else None
         self.workload = spec
         if spec is not None:
-            if not policy.membership_support:
-                raise ConfigError(
-                    f"the {policy.name} engine does not support open-system "
-                    f"workloads (membership_support=False); remove the "
-                    f"WorkloadSpec or pick a membership-capable engine "
-                    f"from the registry table (repro-experiments engines)"
-                )
             compiled = compile_workload(
                 spec, n, seed=self.rng.getrandbits(63), horizon=self.max_ticks
             )
@@ -350,31 +347,15 @@ class TickKernel:
         # adversary never shifts fault or arrival randomness; plans that
         # need no randomness (explicit free-riders only) draw nothing at
         # all.
-        adv_support = policy.adversary_support
-        if adv_support not in ADVERSARY_SUPPORT_LEVELS:  # pragma: no cover - dev error
-            raise ConfigError(
-                f"policy {policy.name!r} declares unknown adversary_support "
-                f"{adv_support!r}"
-            )
         aplan = adversary if adversary is not None and not adversary.is_null else None
-        if aplan is not None:
-            if adv_support == "none":
-                raise ConfigError(
-                    f"the {policy.name} engine does not support adversarial "
-                    f"behavior (adversary_support='none'); remove the "
-                    f"AdversaryPlan or pick an engine from the adversary "
-                    f"parity table in docs/API.md"
-                )
-            if (aplan.pollutes or aplan.lies) and adv_support != "full":
-                raise ConfigError(
-                    f"the {policy.name} engine "
-                    f"(adversary_support={adv_support!r}) carries "
-                    f"free-riders, but not polluters or liars; drop the "
-                    f"pollution/lie axes or pick an adversary_support="
-                    f"'full' engine from the parity table in docs/API.md"
-                )
         self.adversary_plan = aplan
         if aplan is not None:
+            _refuse_unsupported(
+                policy, "adversary_support", ADVERSARY_SUPPORT_LEVELS, aplan,
+                "adversarial behavior",
+                "polluters or liars" if aplan.pollutes or aplan.lies else None,
+                "drop the pollution/lie axes",
+            )
             self.adversary: AdversaryDriver | None = AdversaryDriver(
                 aplan,
                 n,
@@ -399,33 +380,16 @@ class TickKernel:
         # *last* — after the injector's, the workload compile seed and
         # the adversary driver's — so attaching tiers never shifts any
         # other stream's randomness.
-        bw_support = policy.bandwidth_support
-        if bw_support not in BANDWIDTH_SUPPORT_LEVELS:  # pragma: no cover - dev error
-            raise ConfigError(
-                f"policy {policy.name!r} declares unknown bandwidth_support "
-                f"{bw_support!r}"
-            )
         bspec = bandwidth if bandwidth is not None and not bandwidth.is_null else None
         if bspec is not None:
-            if bw_support == "none":
-                raise ConfigError(
-                    f"the {policy.name} engine does not support "
-                    f"heterogeneous bandwidth classes "
-                    f"(bandwidth_support='none'); remove the "
-                    f"BandwidthClasses spec or pick an engine from the "
-                    f"bandwidth parity table in docs/API.md"
-                )
-            if bw_support == "download" and any(
-                t.upload != 1 for t in bspec.tiers
-            ):
-                raise ConfigError(
-                    f"the {policy.name} engine "
-                    f"(bandwidth_support='download') charges per-node "
-                    f"download capacities but keeps client uploads "
-                    f"structurally at 1 block/tick; set every tier's "
-                    f"upload to 1 or pick a bandwidth_support='full' "
-                    f"engine from the parity table in docs/API.md"
-                )
+            _refuse_unsupported(
+                policy, "bandwidth_support", BANDWIDTH_SUPPORT_LEVELS, bspec,
+                "heterogeneous bandwidth classes",
+                "tier uploads other than 1"
+                if any(t.upload != 1 for t in bspec.tiers)
+                else None,
+                "set every tier's upload to 1",
+            )
             self.model = bspec.realize(
                 n, self.rng.getrandbits(63), base=self.model
             )

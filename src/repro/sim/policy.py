@@ -15,11 +15,13 @@ Concrete policies live next to the engines they power:
 * strict-barter pairwise exchange — :mod:`repro.randomized.exchange`;
 * BitTorrent choking — :mod:`repro.randomized.bittorrent`;
 * GF(2) network coding — :mod:`repro.coding.engine`.
+* continuous-time asynchronous transfers — :mod:`repro.asynchronous.policy`.
 
-A policy declares how much of the fault model it can honor via
-``fault_support``; the kernel refuses (``ConfigError``) any
-:class:`~repro.faults.plan.FaultPlan` axis the policy cannot carry, so
-fault plans are never silently ignored.
+The policy class is the one place an engine's capabilities are declared;
+the registry derives its columns from it. Every policy carries the whole
+fault model and open-system workloads (kernel mechanics, adjusted through
+the ``after_*`` hooks); the kernel refuses (``ConfigError``) any
+adversary or bandwidth axis the policy does not declare.
 """
 
 from __future__ import annotations
@@ -31,16 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "TickPolicy",
-    "FAULT_SUPPORT_LEVELS",
     "ADVERSARY_SUPPORT_LEVELS",
     "BANDWIDTH_SUPPORT_LEVELS",
 ]
-
-#: Valid ``TickPolicy.fault_support`` values, weakest to strongest:
-#: ``"none"`` rejects every non-null plan; ``"links"`` carries transfer
-#: loss, link outages and server outage windows but rejects node
-#: crashes; ``"full"`` carries every axis including crash/rejoin.
-FAULT_SUPPORT_LEVELS = ("none", "links", "full")
 
 #: Valid ``TickPolicy.adversary_support`` values, weakest to strongest:
 #: ``"none"`` rejects every non-null
@@ -72,9 +67,6 @@ class TickPolicy:
     #: Engine name recorded in run metadata and used by the registry.
     name = "policy"
 
-    #: Fault axes this policy can honor; see :data:`FAULT_SUPPORT_LEVELS`.
-    fault_support = "full"
-
     #: Whether the kernel should maintain the per-tick download-capacity
     #: ledger (``dl_left``). Policies that enforce capacity structurally
     #: (pairwise exchange) switch it off.
@@ -89,28 +81,18 @@ class TickPolicy:
     #: ``backend="array"`` is requested without it.
     supports_array = False
 
-    #: Whether this policy can host an open-system workload
-    #: (:class:`~repro.workloads.spec.WorkloadSpec` arrivals, downtime
-    #: and departures via :class:`~repro.sim.membership.MembershipRuntime`).
-    #: The kernel refuses (``ConfigError``) a non-null workload on a
-    #: policy without it — the same honesty contract as
-    #: ``fault_support``, so workloads are never silently ignored.
-    membership_support = False
-
     #: Adversary axes this policy can honor; see
     #: :data:`ADVERSARY_SUPPORT_LEVELS`. The kernel refuses
     #: (``ConfigError``) any :class:`~repro.adversary.plan.AdversaryPlan`
-    #: axis the policy cannot carry — the same honesty contract as
-    #: ``fault_support``, so adversaries are never silently ignored.
-    #: Defaults to ``"none"``: a policy must opt in explicitly.
+    #: axis the policy cannot carry, so adversaries are never silently
+    #: ignored. Defaults to ``"none"``: a policy must opt in explicitly.
     adversary_support = "none"
 
     #: Bandwidth-class axes this policy can honor; see
     #: :data:`BANDWIDTH_SUPPORT_LEVELS`. The kernel refuses
     #: (``ConfigError``) any :class:`~repro.core.bandwidth.BandwidthClasses`
-    #: axis the policy cannot carry — the same honesty contract as
-    #: ``fault_support``, so heterogeneous capacities are never silently
-    #: flattened back to uniform. Defaults to ``"none"``.
+    #: axis the policy cannot carry, so heterogeneous capacities are never
+    #: silently flattened back to uniform. Defaults to ``"none"``.
     bandwidth_support = "none"
 
     kernel: "TickKernel"

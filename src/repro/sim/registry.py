@@ -15,9 +15,10 @@ engines as data::
     result = run_engine("exchange", n=50, k=20, rng=7,
                         faults=FaultPlan(loss_rate=0.05))
 
-A fault plan an engine cannot honor raises
-:class:`~repro.core.errors.ConfigError` at construction (see
-``EngineSpec.fault_support``) instead of being silently ignored.
+Every engine honors every fault axis and open-system workloads. What
+differs is declared once, on the engine's
+:class:`~repro.sim.policy.TickPolicy` class, which each
+:class:`EngineSpec` names and reads its capabilities from.
 
 Array-capable engines (``EngineSpec.array_backend``) additionally accept
 ``backend="array"`` — the :mod:`repro.sim.array` vectorized backend,
@@ -27,21 +28,25 @@ byte-identical to the default loop. The ambient default is ``"loop"``;
 swarm-wide, in which case array-capable engines pick the array backend up
 *softly* — engines without array support keep the loop. Passing
 ``backend=`` explicitly always wins, and an *explicit* ``"array"`` on an
-unsupporting engine raises ``ConfigError`` naming the engine.
+unsupporting engine raises ``ConfigError`` naming the engine. So does
+the first use of an unknown ``REPRO_BACKEND`` value, on any engine.
 
-Engine modules are imported lazily inside each factory: the registry is
-imported by :mod:`repro.sim`, which the engines themselves import for the
-kernel, and laziness breaks that cycle.
+Engine modules are imported lazily, by each factory and by
+``EngineSpec.policy_class``: the registry is imported by
+:mod:`repro.sim`, which the engines themselves import for the kernel,
+and laziness breaks that cycle.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable
 
 from ..core.errors import ConfigError
 from ..core.log import RunResult
+from .policy import TickPolicy
 
 __all__ = [
     "ENGINES",
@@ -64,27 +69,32 @@ class EngineSpec:
     summary: str
     #: Paper mechanism the engine realises (see DESIGN.md mapping).
     mechanism: str
-    #: Fault axes the engine honors — ``"none"`` / ``"links"`` /
-    #: ``"full"``; plans beyond this raise ``ConfigError``.
-    fault_support: str
+    #: Dotted path of the engine's :class:`~repro.sim.policy.TickPolicy`
+    #: class, the one place its capabilities are declared.
+    policy: str
     #: ``factory(n, k, **kwargs)`` returning an object with
     #: ``run(progress=None) -> RunResult``.
     factory: Callable[..., Any]
-    #: Whether the engine accepts ``backend="array"``
-    #: (:mod:`repro.sim.array`); others reject it with ``ConfigError``.
-    array_backend: bool = False
-    #: Adversary axes the engine honors — ``"none"`` / ``"free-riders"``
-    #: / ``"full"``; :class:`~repro.adversary.plan.AdversaryPlan` axes
-    #: beyond this raise ``ConfigError`` (see
-    #: :data:`~repro.sim.policy.ADVERSARY_SUPPORT_LEVELS`).
-    adversary_support: str = "none"
-    #: Bandwidth-class axes the engine honors — ``"none"`` /
-    #: ``"download"`` (per-node download capacities only; tier uploads
-    #: must stay 1) / ``"full"``; a
-    #: :class:`~repro.core.bandwidth.BandwidthClasses` spec beyond this
-    #: raises ``ConfigError`` (see
-    #: :data:`~repro.sim.policy.BANDWIDTH_SUPPORT_LEVELS`).
-    bandwidth_support: str = "none"
+
+    @property
+    def policy_class(self) -> type[TickPolicy]:
+        """The policy class named by :attr:`policy`, imported on demand."""
+        module, _, cls = self.policy.rpartition(".")
+        return getattr(import_module(module), cls)
+
+    # Capabilities, read from the policy class (see its attributes).
+
+    @property
+    def array_backend(self) -> bool:
+        return self.policy_class.supports_array
+
+    @property
+    def adversary_support(self) -> str:
+        return self.policy_class.adversary_support
+
+    @property
+    def bandwidth_support(self) -> str:
+        return self.policy_class.bandwidth_support
 
 
 def _randomized(n: int, k: int, **kwargs: Any) -> Any:
@@ -131,48 +141,35 @@ ENGINES: dict[str, EngineSpec] = {
             summary="randomized uniform-neighbor sampling "
             "(cooperative or credit-limited barter)",
             mechanism="cooperative / credit-limited barter",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
+            policy="repro.randomized.engine.RandomizedTickPolicy",
             factory=_randomized,
-            array_backend=True,
         ),
         EngineSpec(
             name="churn",
             summary="randomized sampling with scheduled arrivals/departures",
             mechanism="cooperative / credit-limited barter",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
+            policy="repro.randomized.churn.ChurnTickPolicy",
             factory=_churn,
-            array_backend=True,
         ),
         EngineSpec(
             name="exchange",
             summary="randomized strict-barter pairwise exchange matching",
             mechanism="strict barter",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="download",
+            policy="repro.randomized.exchange.ExchangeTickPolicy",
             factory=_exchange,
-            array_backend=True,
         ),
         EngineSpec(
             name="bittorrent",
             summary="BitTorrent-style tit-for-tat choking",
             mechanism="tit-for-tat (approximate barter)",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
+            policy="repro.randomized.bittorrent.BitTorrentTickPolicy",
             factory=_bittorrent,
         ),
         EngineSpec(
             name="coding",
             summary="GF(2) network coding (random linear combinations)",
             mechanism="cooperative",
-            fault_support="full",
-            adversary_support="free-riders",
-            bandwidth_support="download",
+            policy="repro.coding.engine.CodingTickPolicy",
             factory=_coding,
         ),
         EngineSpec(
@@ -180,9 +177,7 @@ ENGINES: dict[str, EngineSpec] = {
             summary="continuous-time asynchronous engine "
             "(kernel-hosted event windows, one tick per unit time)",
             mechanism="cooperative",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
+            policy="repro.asynchronous.policy.AsyncTickPolicy",
             factory=_async,
         ),
     )
@@ -197,12 +192,20 @@ def engine_names() -> list[str]:
 # Ambient execution backend, applied *softly*: array-capable engines pick
 # it up as their default, everyone else keeps the loop. Seeded from the
 # environment once at import so ParallelExecutor worker processes inherit
-# the parent's choice.
+# the parent's choice, and validated on use: only the environment can
+# store a name that is not a backend (set_default_backend checks its own).
+_BACKENDS = ("loop", "array")
 _DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND") or "loop"
 
 
 def default_backend() -> str:
-    """The ambient backend name (``"loop"`` unless switched)."""
+    """The ambient backend name (``"loop"`` unless switched); raises
+    ``ConfigError`` if ``REPRO_BACKEND`` names no backend."""
+    if _DEFAULT_BACKEND not in _BACKENDS:
+        raise ConfigError(
+            f"REPRO_BACKEND={_DEFAULT_BACKEND!r} names no backend; set it "
+            f"to 'loop' or 'array', or unset it"
+        )
     return _DEFAULT_BACKEND
 
 
@@ -210,7 +213,7 @@ def set_default_backend(backend: str) -> str:
     """Set the ambient backend (``"loop"`` or ``"array"``); returns the
     previous value. The CLI's ``--backend`` flag lands here."""
     global _DEFAULT_BACKEND
-    if backend not in ("loop", "array"):
+    if backend not in _BACKENDS:
         raise ConfigError(
             f"unknown backend {backend!r}; choose 'loop' or 'array'"
         )
@@ -224,9 +227,10 @@ def create_engine(name: str, n: int, k: int, **kwargs: Any) -> Any:
     unknown name or options the engine rejects.
 
     ``backend=`` is resolved here: ``None`` means the ambient default
-    (which only array-capable engines follow); an explicit value is
-    checked against ``EngineSpec.array_backend`` so the error names the
-    engine rather than surfacing as an unexpected-keyword ``TypeError``.
+    (validated, then followed only by array-capable engines); an
+    explicit value is checked against ``EngineSpec.array_backend`` so the
+    error names the engine rather than surfacing as an
+    unexpected-keyword ``TypeError``.
     """
     spec = ENGINES.get(name)
     if spec is None:
@@ -234,7 +238,7 @@ def create_engine(name: str, n: int, k: int, **kwargs: Any) -> Any:
             f"unknown engine {name!r}; registered: {', '.join(ENGINES)}"
         )
     backend = kwargs.pop("backend", None)
-    if backend is None and _DEFAULT_BACKEND != "loop" and spec.array_backend:
+    if backend is None and default_backend() != "loop" and spec.array_backend:
         backend = _DEFAULT_BACKEND
     if backend is not None and backend != "loop":
         if not spec.array_backend:

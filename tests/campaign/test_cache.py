@@ -85,6 +85,68 @@ class TestCacheKey:
         assert default_salt().startswith("v")
 
 
+class TestPinnedCacheKeys:
+    """Literal keys for registry-engine factories, one per scenario axis.
+
+    A campaign cache stays valid only while these bytes do: a change to a
+    factory's fields, a spec's repr or the default salt must come with a
+    ``CODE_VERSION`` bump and a deliberate update here.
+    """
+
+    @staticmethod
+    def _factories():
+        from repro.adversary import AdversaryPlan
+        from repro.campaign.factories import BatchEngineRun, EngineRun
+        from repro.core.bandwidth import BandwidthClasses, BandwidthTier
+        from repro.faults import FaultPlan
+        from repro.telemetry import TelemetrySpec
+        from repro.workloads import WorkloadSpec
+
+        cable = BandwidthTier("cable", 0.5, upload=2, download=4)
+        return {
+            "plain": EngineRun.configure("randomized", 16, 8),
+            "faults": EngineRun.configure(
+                "exchange", 16, 8,
+                faults=FaultPlan(loss_rate=0.1, crash_rate=0.01, rejoin_delay=3),
+            ),
+            "workload": EngineRun.configure(
+                "churn", 16, 8,
+                workload=WorkloadSpec(initial_fraction=0.5, arrival_rate=0.3),
+            ),
+            "adversary": EngineRun.configure(
+                "bittorrent", 16, 8,
+                adversary=AdversaryPlan(free_rider_fraction=0.25),
+            ),
+            "bandwidth+telemetry": EngineRun.configure(
+                "async", 16, 8,
+                bandwidth=BandwidthClasses(tiers=(cable,)),
+                telemetry=TelemetrySpec(),
+            ),
+            "batch": BatchEngineRun.configure(
+                "randomized", 16, 8, backend="array"
+            ),
+        }
+
+    KEYS = {
+        "plain": "4bfaf96cd5ecb233e2cb72178d3eed755d7b727c6e540a58b4cac85a309ff90f",
+        "faults": "9aac23b5ab462c477724e71d3d05f23c2f310d8faed110e9d1d21c991134cb4e",
+        "workload": "ad9aa0b3c99bac408a77d8b1c982d44b9810b0fd26ab624ec1ec057f31f90a37",
+        "adversary": "1afce6540006b4ff87b10734cbd18c7d4db840a9216d76c9e4e657e8d8d97cff",
+        "bandwidth+telemetry": (
+            "839107ae48654ba55550d9d668280aab75eb160fdafa7e19473fd773c015f18b"
+        ),
+        "batch": "86c9c38453024282a61253ac3acb4fc8583cff220f3d7a608725f097e939cb00",
+    }
+
+    def test_keys_are_pinned(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_SALT", raising=False)
+        keys = {
+            name: cache_key("exp", 10, 42, replicate=1, fn=fn)
+            for name, fn in self._factories().items()
+        }
+        assert keys == self.KEYS
+
+
 class TestFnFingerprint:
     def test_dataclass_factory_spells_out_params(self):
         fp = fn_fingerprint(ParamFactory(k=250))

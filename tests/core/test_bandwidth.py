@@ -194,15 +194,13 @@ class TestHeterogeneousModel:
 
 class TestEngineSupportLevels:
     def test_registry_declares_parity_table(self):
+        # The bandwidth column of the one pinned capability table.
         from repro.sim import ENGINES
 
+        from ..sim.test_registry import PARITY
+
         assert {name: s.bandwidth_support for name, s in ENGINES.items()} == {
-            "randomized": "full",
-            "churn": "full",
-            "exchange": "download",
-            "bittorrent": "full",
-            "coding": "download",
-            "async": "full",
+            name: bandwidth for name, (_, _, bandwidth) in PARITY.items()
         }
 
     def test_download_level_rejects_upload_tiers(self):

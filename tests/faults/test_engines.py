@@ -299,9 +299,9 @@ class TestAbortMetadata:
 
 
 class TestFaultPlanHonesty:
-    """Every engine honors the full fault model (all six graduated to
-    ``fault_support="full"``), with failures — and crash/rejoin events —
-    in the log to prove it; a null plan still normalizes away."""
+    """Every engine honors the full fault model, with failures — and
+    crash/rejoin events — in the log to prove it; a null plan still
+    normalizes away."""
 
     def test_bittorrent_honors_crash_plans(self):
         from repro.randomized.bittorrent import bittorrent_run

@@ -3,19 +3,22 @@
 The engine suites exercise the kernel through real policies; these tests
 pin the kernel's own contract with minimal synthetic policies: the
 ``attempt`` primitive, the verdict ladder (completion / conclusive
-deadlock / stall / max-ticks / policy abort), fault-support validation,
-and the incomplete-pool bookkeeping the complete-graph fast path rests
-on.
+deadlock / stall / max-ticks / policy abort), which scenario axes a bare
+policy accepts or refuses, and the incomplete-pool bookkeeping the
+complete-graph fast path rests on.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.adversary import AdversaryPlan
+from repro.core.bandwidth import BandwidthClasses, BandwidthTier
 from repro.core.errors import ConfigError
 from repro.core.model import SERVER
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.sim import TickKernel, TickPolicy, default_max_ticks
+from repro.workloads import WorkloadSpec
 
 
 class ServerSprayPolicy(TickPolicy):
@@ -128,23 +131,28 @@ def test_null_plan_is_normalized_away() -> None:
     assert list(nulled.log) == list(plain.log)
 
 
-def test_fault_support_none_rejects_any_plan() -> None:
-    class NoFaults(ServerSprayPolicy):
-        fault_support = "none"
+def test_bare_policy_takes_faults_and_workloads_but_not_opt_in_axes() -> None:
+    """Crash/rejoin and membership are kernel mechanics every policy
+    gets; adversary and bandwidth axes need an explicit declaration."""
+    crash = FaultPlan(crash_rate=0.2, rejoin_delay=2, rejoin_retention=0.5)
+    result = TickKernel(
+        6, 3, ServerSprayPolicy(), rng=3, faults=crash, max_ticks=60
+    ).run()
+    assert result.completed
+    assert result.meta["crashes"] > 0 and result.meta["rejoins"] > 0
+    workload = WorkloadSpec(initial_fraction=0.5, arrival_trace=((2, 2),))
+    result = TickKernel(6, 3, ServerSprayPolicy(), rng=3, workload=workload).run()
+    assert result.completed
+    assert result.meta["workload"] == workload.describe()
 
-    with pytest.raises(ConfigError, match="does not support fault injection"):
-        TickKernel(4, 3, NoFaults(), faults=FaultPlan(loss_rate=0.1))
-
-
-def test_fault_support_links_rejects_crashes_only() -> None:
-    class LinksOnly(ServerSprayPolicy):
-        fault_support = "links"
-
-    with pytest.raises(ConfigError, match="crash"):
-        TickKernel(4, 3, LinksOnly(), faults=FaultPlan(crash_rate=0.1))
-    # Loss-only plans pass the same gate.
-    kernel = TickKernel(4, 3, LinksOnly(), rng=2, faults=FaultPlan(loss_rate=0.3))
-    assert kernel.faults is not None
+    riders = AdversaryPlan(free_riders=(2,))
+    with pytest.raises(ConfigError, match="test-spray.*adversary_support='none'"):
+        TickKernel(6, 3, ServerSprayPolicy(), adversary=riders)
+    tiers = BandwidthClasses(
+        tiers=(BandwidthTier("cable", 0.5, upload=1, download=2),)
+    )
+    with pytest.raises(ConfigError, match="test-spray.*bandwidth_support='none'"):
+        TickKernel(6, 3, ServerSprayPolicy(), bandwidth=tiers)
 
 
 def test_progress_callback_reports_each_tick() -> None:

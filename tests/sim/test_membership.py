@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ConfigError
 from repro.randomized.churn import churn_run
-from repro.sim.kernel import TickKernel
-from repro.sim.policy import TickPolicy
 from repro.sim.registry import run_engine
 from repro.workloads import AvailabilityProfile, FlashCrowd, WorkloadSpec
 
@@ -71,21 +68,6 @@ class TestNullWorkload:
         )
         assert list(nulled.log) == list(plain.log)
         assert nulled.log.failures == plain.log.failures
-
-
-class TestHonesty:
-    def test_unsupporting_policy_refuses_workloads(self):
-        class NoMembership(TickPolicy):
-            name = "no-membership"
-
-            def run_tick(self, snapshot):  # pragma: no cover - never runs
-                pass
-
-        with pytest.raises(ConfigError, match="no-membership"):
-            TickKernel(
-                6, 3, NoMembership(), rng=1,
-                workload=WorkloadSpec(initial_fraction=0.5),
-            )
 
 
 class TestDepartures:

@@ -3,10 +3,10 @@
 Every registered engine must honor one contract: constructed by name with
 the same kernel options, returning a :class:`~repro.core.log.RunResult`
 with the uniform ``None | deadlock | stall | max-ticks`` abort verdict,
-seed-stable output, a working progress callback, and either honored or
-explicitly rejected fault plans. The suite is parametrized over the
-registry itself, so adding an engine automatically subjects it to the
-contract.
+seed-stable output, a working progress callback, honored fault plans
+(crashes included), and capabilities that are exactly its policy class's
+declarations. The suite is parametrized over the registry itself, so
+adding an engine automatically subjects it to the contract.
 
 Log verification is tiered by what an engine's log *means*:
 
@@ -29,8 +29,18 @@ import pytest
 from repro.core.errors import ConfigError
 from repro.core.log import RunResult
 from repro.core.verify import verify_log
+from repro.experiments.runner import main
 from repro.faults import FaultPlan
-from repro.sim import ENGINES, create_engine, engine_names, run_engine
+from repro.sim import (
+    ENGINES,
+    TickPolicy,
+    create_engine,
+    default_backend,
+    engine_names,
+    registry,
+    run_engine,
+)
+from repro.sim.policy import ADVERSARY_SUPPORT_LEVELS, BANDWIDTH_SUPPORT_LEVELS
 
 from .capture_golden import result_fingerprint
 
@@ -148,13 +158,79 @@ def test_loss_plan_accepted_everywhere(name: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_crash_plan_honored_or_rejected(name: str) -> None:
-    """``fault_support`` honesty: full-support engines run crash plans,
-    the rest must refuse loudly instead of silently dropping the plan."""
+    """Every engine carries node crashes: a crash plan runs, never drops."""
     n, k, kwargs = _case(name)
     plan = FaultPlan(crash_rate=0.01, rejoin_delay=3, rejoin_retention=0.5)
-    if ENGINES[name].fault_support == "full":
-        result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
-        assert isinstance(result, RunResult)
-    else:
-        with pytest.raises(ConfigError):
-            run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
+    result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
+    assert isinstance(result, RunResult)
+    assert result.meta["faults"] == plan.describe()
+
+
+# -- capabilities: declared once, on the policy class -----------------------
+
+# The whole capability table, pinned in one place (docs/API.md has the
+# per-axis parity tables): (array backend, adversary_support,
+# bandwidth_support).
+PARITY = {
+    "randomized": (True, "full", "full"),
+    "churn": (True, "full", "full"),
+    "exchange": (True, "full", "download"),
+    "bittorrent": (False, "full", "full"),
+    "coding": (False, "free-riders", "download"),
+    "async": (False, "full", "full"),
+}
+
+
+def test_parity_table() -> None:
+    assert {
+        name: (s.array_backend, s.adversary_support, s.bandwidth_support)
+        for name, s in ENGINES.items()
+    } == PARITY
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_spec_capabilities_are_the_policy_declarations(name: str) -> None:
+    spec = ENGINES[name]
+    cls = spec.policy_class
+    assert issubclass(cls, TickPolicy)
+    assert spec.array_backend is cls.supports_array
+    assert spec.adversary_support == cls.adversary_support
+    assert spec.bandwidth_support == cls.bandwidth_support
+    assert cls.adversary_support in ADVERSARY_SUPPORT_LEVELS
+    assert cls.bandwidth_support in BANDWIDTH_SUPPORT_LEVELS
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_spec_names_the_policy_the_engine_runs(name: str) -> None:
+    n, k, kwargs = _case(name)
+    engine = create_engine(name, n, k, rng=SEED, **kwargs)
+    assert type(engine.kernel.policy) is ENGINES[name].policy_class
+
+
+def test_engines_listing_shows_derived_columns(capsys) -> None:
+    assert main(["engines"]) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:4] == ["engine", "array", "adversary", "bandwidth"]
+    assert set(rule) == {"-"}
+    listed = {row.split()[0]: tuple(row.split()[1:4]) for row in rows}
+    assert listed == {
+        name: ("yes" if array else "no", adversary, bandwidth)
+        for name, (array, adversary, bandwidth) in PARITY.items()
+    }
+
+
+# -- ambient backend ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["randomized", "bittorrent"])
+def test_bad_repro_backend_is_refused_on_use(monkeypatch, name: str) -> None:
+    """A misspelt ``REPRO_BACKEND`` must fail loudly on every engine, not
+    fall back to the loop (bittorrent) or blame an unnamed backend."""
+    monkeypatch.setattr(registry, "_DEFAULT_BACKEND", "arary")
+    with pytest.raises(ConfigError, match="REPRO_BACKEND='arary'.*'loop' or 'array'"):
+        default_backend()
+    n, k, kwargs = _case(name)
+    with pytest.raises(ConfigError, match="REPRO_BACKEND"):
+        run_engine(name, n, k, rng=SEED, **kwargs)
+    # An explicit backend never consults the ambient default.
+    assert run_engine(name, n, k, rng=SEED, backend="loop", **kwargs).completed
